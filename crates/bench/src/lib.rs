@@ -42,20 +42,6 @@ pub fn time_eval(engine: &Engine, query: &str, mode: ExecutionMode) -> Duration 
     t.elapsed()
 }
 
-/// Like [`time_eval`] but with explicit [`CompileOptions`] — used by the
-/// pipeline ablation bench to compare pipelined (cursor) execution against
-/// full materialization under otherwise identical settings.
-pub fn time_eval_with(engine: &Engine, query: &str, options: &CompileOptions) -> Duration {
-    let prepared = engine
-        .prepare(query, options)
-        .unwrap_or_else(|e| panic!("prepare failed: {e}"));
-    let t = Instant::now();
-    prepared
-        .run(engine)
-        .unwrap_or_else(|e| panic!("run failed: {e}"));
-    t.elapsed()
-}
-
 /// Times the full 20-query XMark suite including result serialization
 /// (Table 3 methodology: load once, evaluate all twenty, serialize all
 /// results).

@@ -93,16 +93,7 @@ pub fn module_rendering(m: &CompiledModule) -> String {
     out
 }
 
-/// FNV-1a over bytes (the same construction the service uses for its
-/// query-text fallback hash).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use xqr_xml::retry::fnv1a;
 
 // ----- Commutative-operand ordering -------------------------------------
 

@@ -1,8 +1,7 @@
 //! Per-query-shape circuit breakers.
 //!
 //! A query shape that repeatedly dies with internal errors (caught
-//! panics, or pipelined failures whose materialized fallback was also
-//! exhausted) is a standing hazard in a multi-tenant service: every
+//! panics) is a standing hazard in a multi-tenant service: every
 //! resubmission burns a worker slot, a memory reservation, and a full
 //! execution before failing the same way. The breaker registry keys a
 //! classic closed → open → half-open state machine by the query's
@@ -138,8 +137,7 @@ impl CircuitBreakers {
     }
 
     /// Records a run's outcome for `shape`. `internal_failure` is true
-    /// only for engine-fault failures (caught panics / exhausted
-    /// fallbacks); ordinary dynamic or limit errors count as the breaker's
+    /// only for engine-fault failures (caught panics); ordinary dynamic or limit errors count as the breaker's
     /// notion of success.
     pub fn record(&self, shape: u64, internal_failure: bool) {
         if !self.cfg.enabled {

@@ -135,32 +135,20 @@ pub struct CompileOptions {
     /// `xqr_core::project`). Off by default: profitable for
     /// navigation-heavy queries over large documents.
     pub projection: bool,
-    /// Escape hatch: evaluate every tuple operator to a complete
-    /// intermediate table (the original strategy) instead of the default
-    /// pipelined cursor execution. Kept for ablation benchmarks and the
-    /// cross-strategy differential suite.
-    pub materialize_all: bool,
     /// Per-query resource limits; `None` falls back to the engine-wide
     /// limits installed with [`Engine::set_limits`] (and to
     /// [`Limits::default`] when neither is set).
     pub limits: Option<Limits>,
-    /// Opt-in graceful degradation: when a *pipelined* execution fails
-    /// with an internal error (a caught panic), retry once under the
-    /// materialized strategy. The fallback is recorded and reported by
-    /// [`PreparedQuery::explain`]. Limit violations are never retried.
-    pub fallback_to_materialized: bool,
+    /// Opt-in graceful degradation: when spilling itself fails
+    /// irrecoverably (`XQRG0005`: I/O retries exhausted or a corrupt
+    /// frame), retry the query once with spilling disabled, under the
+    /// strict in-memory byte budget. The retry is recorded and reported by
+    /// [`PreparedQuery::explain`]. No other failure is ever retried.
+    pub retry_without_spill: bool,
     /// Collect a per-operator runtime profile on every run (EXPLAIN
     /// ANALYZE). Off by default: the disabled path is a single `Option`
     /// check per operator open/dispatch.
     pub profile: bool,
-    /// Escape hatch: disable the batched (vectorized) execution of the
-    /// pipelined operators — fused, type-specialized comparison kernels
-    /// for provably safe predicate shapes — and force every predicate
-    /// down the row-at-a-time scalar path. Kept for ablation benchmarks
-    /// and the batched/scalar differential suite, mirroring
-    /// [`CompileOptions::materialize_all`]. No effect under the
-    /// materialized strategy, which is always scalar.
-    pub scalar_kernels: bool,
 }
 
 impl CompileOptions {
@@ -187,36 +175,21 @@ impl CompileOptions {
         }
     }
 
-    pub fn materialized(mode: ExecutionMode) -> CompileOptions {
-        CompileOptions {
-            mode,
-            materialize_all: true,
-            ..CompileOptions::default()
-        }
-    }
-
     /// Attaches per-query resource limits.
     pub fn limits(mut self, limits: Limits) -> CompileOptions {
         self.limits = Some(limits);
         self
     }
 
-    /// Enables the materialized-strategy retry on pipelined failure.
-    pub fn with_fallback(mut self) -> CompileOptions {
-        self.fallback_to_materialized = true;
+    /// Enables the retry-with-spilling-disabled on spill I/O failure.
+    pub fn with_retry_without_spill(mut self) -> CompileOptions {
+        self.retry_without_spill = true;
         self
     }
 
     /// Enables per-operator runtime profiling ([`PreparedQuery::explain_analyze`]).
     pub fn with_profiling(mut self) -> CompileOptions {
         self.profile = true;
-        self
-    }
-
-    /// Disables the batched (vectorized) kernels; every predicate runs
-    /// the row-at-a-time scalar path.
-    pub fn with_scalar_kernels(mut self) -> CompileOptions {
-        self.scalar_kernels = true;
         self
     }
 }
@@ -563,10 +536,8 @@ impl Engine {
             })??
         };
         let mode = options.mode;
-        let materialize_all = options.materialize_all;
-        let fallback = options.fallback_to_materialized;
+        let retry_without_spill = options.retry_without_spill;
         let profile = options.profile;
-        let scalar_kernels = options.scalar_kernels;
         if mode == ExecutionMode::NoAlgebra {
             return Ok(PreparedQuery {
                 mode,
@@ -575,13 +546,11 @@ impl Engine {
                 stats: None,
                 canonical_hash: None,
                 params: HashMap::new(),
-                materialize_all,
                 limits,
-                fallback,
+                retry_without_spill,
                 fallback_note: RefCell::new(None),
                 profile,
                 last_profile: RefCell::new(None),
-                scalar_kernels,
                 query_id: Cell::new(None),
                 last_spilled: Cell::new(false),
                 last_fell_back: Cell::new(false),
@@ -654,13 +623,11 @@ impl Engine {
             stats: stats.map(Rc::new),
             canonical_hash: Some(canonical_hash),
             params: HashMap::new(),
-            materialize_all,
             limits,
-            fallback,
+            retry_without_spill,
             fallback_note: RefCell::new(None),
             profile,
             last_profile: RefCell::new(None),
-            scalar_kernels,
             query_id: Cell::new(None),
             last_spilled: Cell::new(false),
             last_fell_back: Cell::new(false),
@@ -738,13 +705,11 @@ impl Engine {
             stats: cached.stats.clone(),
             canonical_hash: cached.plan.is_some().then_some(cached.canonical_hash),
             params: HashMap::new(),
-            materialize_all: options.materialize_all,
             limits: options.limits.clone().or_else(|| self.limits.clone()),
-            fallback: options.fallback_to_materialized,
+            retry_without_spill: options.retry_without_spill,
             fallback_note: RefCell::new(None),
             profile: options.profile,
             last_profile: RefCell::new(None),
-            scalar_kernels: options.scalar_kernels,
             query_id: Cell::new(None),
             last_spilled: Cell::new(false),
             last_fell_back: Cell::new(false),
@@ -784,7 +749,7 @@ impl Engine {
 
 /// The plan-cache text key: FNV over the query text plus every compile
 /// option that affects the resulting plan. Execution-only options
-/// (limits, materialization, profiling, kernels, fallback) are *not*
+/// (limits, profiling, the spill retry) are *not*
 /// keyed — they live on the `PreparedQuery`, not the cached plan.
 fn text_cache_key(query: &str, options: &CompileOptions) -> u64 {
     let rules = options.rules.unwrap_or_default();
@@ -819,26 +784,23 @@ pub struct PreparedQuery {
     /// overlaid over the engine-wide [`Engine::bind_variable`] bindings at
     /// run time — one compiled plan serves many argument sets.
     params: HashMap<QName, Sequence>,
-    materialize_all: bool,
     /// Effective limits (query-level, else engine-wide) captured at
     /// prepare time.
     limits: Option<Limits>,
-    fallback: bool,
-    /// Set when a run fell back to the materialized strategy; surfaced by
+    retry_without_spill: bool,
+    /// Set when a run was retried with spilling disabled; surfaced by
     /// [`PreparedQuery::explain`].
     fallback_note: RefCell<Option<String>>,
     /// Collect per-operator stats on every run.
     profile: bool,
     /// The profile of the most recent run (when `profile` is set).
     last_profile: RefCell<Option<QueryProfile>>,
-    /// Force the row-at-a-time scalar path (no batched kernels).
-    scalar_kernels: bool,
     /// Service query id ([`PreparedQuery::set_query_id`]); stamped into
     /// recorded profiles so `EXPLAIN ANALYZE` joins to lifecycle journals.
     query_id: Cell<Option<u64>>,
     /// Whether the most recent run crossed the spill watermark.
     last_spilled: Cell<bool>,
-    /// Whether the most recent run degraded to a fallback strategy.
+    /// Whether the most recent run was retried with spilling disabled.
     last_fell_back: Cell<bool>,
 }
 
@@ -877,8 +839,8 @@ impl PreparedQuery {
         self.last_spilled.get()
     }
 
-    /// Whether the most recent run degraded to a fallback strategy
-    /// (materialized retry or spill-disabled retry).
+    /// Whether the most recent run degraded to the spill-disabled retry
+    /// ([`CompileOptions::retry_without_spill`]).
     pub fn last_run_fell_back(&self) -> bool {
         self.last_fell_back.get()
     }
@@ -949,18 +911,12 @@ impl PreparedQuery {
     pub fn explain(&self) -> String {
         let base = match &self.plan {
             Some(m) => {
-                let pipelined = !self.materialize_all;
-                let ann = xqr_runtime::explain_annotations(&m.body, pipelined);
+                let ann = xqr_runtime::explain_annotations(&m.body);
                 let plan = pretty::indented_annotated(&m.body, &ann);
-                let strategy = if self.materialize_all {
-                    "execution: materialized (all operators evaluate to full tables)".to_string()
-                } else {
-                    format!(
-                        "execution: pipelined\n{}",
-                        xqr_runtime::pipeline_report(&m.body)
-                    )
-                };
-                format!("{plan}\n{strategy}")
+                format!(
+                    "{plan}\nexecution: pipelined\n{}",
+                    xqr_runtime::pipeline_report(&m.body)
+                )
             }
             None => "(no algebra: direct Core interpretation)".to_string(),
         };
@@ -1042,42 +998,15 @@ impl PreparedQuery {
         let t0 = Instant::now();
         let limits = self.limits.clone().unwrap_or_default();
         let governor = Governor::new(&limits, token.clone());
-        let pipelined = !self.materialize_all;
         self.last_spilled.set(false);
         self.last_fell_back.set(false);
-        let result = match self.run_once(engine, &governor, pipelined) {
-            Err(EngineError::Internal {
-                phase,
-                plan_context,
-                message,
-            }) if self.fallback && pipelined && self.plan.is_some() => {
-                // Graceful degradation: the pipelined attempt panicked;
-                // retry once fully materialized. The governor (and thus
-                // the deadline and the budgets already spent) carries
-                // over; only test-only fault injection is disarmed.
-                governor.disarm_fault_injection();
-                metrics().record_fallback();
-                self.last_fell_back.set(true);
-                *self.fallback_note.borrow_mut() = Some(format!(
-                    "fallback: pipelined execution failed during {} ({message}); \
-                     retried under the materialized strategy",
-                    phase.label()
-                ));
-                match self.run_once(engine, &governor, false) {
-                    Ok(v) => Ok(v),
-                    Err(_retry_err) => Err(EngineError::Internal {
-                        phase,
-                        plan_context,
-                        message,
-                    }),
-                }
-            }
+        let result = match self.run_once(engine, &governor) {
             Err(EngineError::LimitExceeded {
                 code,
                 phase,
                 budget,
                 message,
-            }) if code == ERR_SPILL_IO && self.fallback && self.plan.is_some() => {
+            }) if code == ERR_SPILL_IO && self.retry_without_spill && self.plan.is_some() => {
                 // Spilling itself failed irrecoverably (retries exhausted
                 // or a corrupt frame): retry once with spilling disabled,
                 // degrading to the strict in-memory byte budget — a broken
@@ -1090,7 +1019,7 @@ impl PreparedQuery {
                     phase.label()
                 ));
                 let strict = Governor::new(&limits.clone().with_spill(None), token);
-                match self.run_once(engine, &strict, pipelined) {
+                match self.run_once(engine, &strict) {
                     Ok(v) => Ok(v),
                     Err(_retry_err) => Err(EngineError::LimitExceeded {
                         code,
@@ -1133,12 +1062,7 @@ impl PreparedQuery {
     }
 
     /// One governed execution attempt behind `catch_unwind`.
-    fn run_once(
-        &self,
-        engine: &Engine,
-        governor: &Governor,
-        pipelined: bool,
-    ) -> Result<Sequence, EngineError> {
+    fn run_once(&self, engine: &Engine, governor: &Governor) -> Result<Sequence, EngineError> {
         xqr_xml::failpoint::check("phase::execute").map_err(|e| classify(e, Phase::Execute))?;
         let profiler =
             (self.profile && self.plan.is_some()).then(|| Profiler::new(governor.clone()));
@@ -1172,8 +1096,6 @@ impl PreparedQuery {
                     &engine.documents,
                     mode.join_algorithm(),
                 );
-                ctx.pipelined = pipelined;
-                ctx.batched = !self.scalar_kernels;
                 ctx.globals = globals();
                 ctx.governor = governor.clone();
                 ctx.profiler = profiler.clone();
@@ -1185,12 +1107,7 @@ impl PreparedQuery {
             // far the plan got before the error.
             let wall = t0.elapsed().as_nanos() as u64;
             let mut snap = if let Some(p) = &profiler {
-                let strategy = if pipelined {
-                    "pipelined"
-                } else {
-                    "materialized"
-                };
-                p.snapshot(strategy, wall)
+                p.snapshot("pipelined", wall)
             } else {
                 QueryProfile {
                     strategy: "core-interp".to_string(),
@@ -1432,38 +1349,6 @@ mod tests {
             pipelined.explain()
         );
         assert!(pipelined.explain().contains("pipelined (streaming):"));
-        let materialized = e
-            .prepare(
-                q,
-                &CompileOptions::materialized(ExecutionMode::OptimHashJoin),
-            )
-            .unwrap();
-        assert!(materialized.explain().contains("execution: materialized"));
-    }
-
-    #[test]
-    fn materialized_escape_hatch_agrees() {
-        let e = engine_with("<r><a id='1'>x</a><a id='2'>y</a></r>");
-        for q in [
-            "for $x in (1,2,3) where $x > 1 return $x * 10",
-            "for $a in doc('doc.xml')//a order by $a/@id descending return string($a)",
-            "some $x in (1,2,3) satisfies $x = 2",
-        ] {
-            let p = e
-                .prepare(q, &CompileOptions::mode(ExecutionMode::OptimHashJoin))
-                .unwrap()
-                .run_to_string(&e)
-                .unwrap();
-            let m = e
-                .prepare(
-                    q,
-                    &CompileOptions::materialized(ExecutionMode::OptimHashJoin),
-                )
-                .unwrap()
-                .run_to_string(&e)
-                .unwrap();
-            assert_eq!(p, m, "strategies disagree on {q:?}");
-        }
     }
 
     #[test]

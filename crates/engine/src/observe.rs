@@ -161,7 +161,8 @@ pub struct QueryTimeline {
     pub error: Option<String>,
     /// The run crossed the spill watermark.
     pub spilled: bool,
-    /// The run fell back to the materialized strategy.
+    /// The run was retried with spilling disabled after a spill I/O
+    /// failure.
     pub fell_back: bool,
     /// Whether a worker actually executed the query (false: shed while
     /// queued, deadline expired in queue, cancelled, drained at

@@ -31,18 +31,6 @@ pub struct Ctx<'a> {
     /// Function-call frames (parameters by name).
     frames: Vec<HashMap<QName, Sequence>>,
     pub join_algorithm: JoinAlgorithm,
-    /// Pipelined (cursor) execution of the tuple operators; `false` forces
-    /// full materialization between all operators (the original strategy,
-    /// kept as `CompileOptions::materialize_all` and for ablation).
-    pub pipelined: bool,
-    /// Batched (vectorized) execution of the pipelined operators: fused,
-    /// type-specialized comparison kernels for provably safe predicate
-    /// shapes, with per-row scalar fallback everywhere else. On by
-    /// default; `false` (`CompileOptions::scalar_kernels`) forces every
-    /// predicate down the row-at-a-time scalar path. No effect when
-    /// `pipelined` is false — the materialized strategy stays the plain
-    /// scalar reference implementation.
-    pub batched: bool,
     /// The resource governor: budgets, deadline, cancellation, and the
     /// single source of truth for user-function recursion depth (shared
     /// with the Core interpreter, which tracks depth through the same
@@ -81,8 +69,6 @@ impl<'a> Ctx<'a> {
             globals: HashMap::new(),
             frames: Vec::new(),
             join_algorithm,
-            pipelined: true,
-            batched: true,
             governor: Governor::unlimited(),
             profiler: None,
             spill: None,

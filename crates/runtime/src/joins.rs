@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use xqr_core::algebra::{Field, Op, Plan};
+use xqr_core::algebra::{Op, Plan};
 use xqr_core::fields::{output_fields, used_input_fields};
 use xqr_types::convert::{comparable_types, promote_to_simple_types};
 use xqr_xml::{AtomicType, AtomicValue};
@@ -34,63 +34,13 @@ use crate::context::{Ctx, JoinAlgorithm};
 use crate::eval::eval_dep_items;
 use crate::value::{InputVal, Table, Tuple};
 
-/// Executes a join with the configured algorithm. `outer_null` is the
-/// LOuterJoin flag field; `None` means an inner join. `stats` (when
-/// profiling) receives the build-phase time — the probe-index construction
-/// over the already-materialized inner side.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_join(
-    pred: &Plan,
-    left_plan: &Plan,
-    right_plan: &Plan,
-    left: &Table,
-    right: &Table,
-    outer_null: Option<&Field>,
-    ctx: &mut Ctx<'_>,
-    stats: Option<&crate::profile::OpStats>,
-) -> xqr_xml::Result<Table> {
-    // Past the governor's soft watermark, a splittable predicate goes to
-    // the Grace-style partitioned join instead of building the whole inner
-    // index in memory (nested-loop predicates have no key to partition on
-    // and keep the in-memory path — their per-pair loop holds only the
-    // output).
-    if ctx.governor.should_spill() && !matches!(ctx.join_algorithm, JoinAlgorithm::NestedLoop) {
-        if let Some(split) = analyze_predicate(pred, left_plan, right_plan) {
-            return crate::spill::grace_join(&split, left, right, outer_null, ctx, stats);
-        }
-    }
-    let t0 = stats.map(|_| std::time::Instant::now());
-    let probe = JoinProbe::build(pred, left_plan, right_plan, right, ctx)?;
-    if let (Some(s), Some(t0)) = (stats, t0) {
-        s.add_build_nanos(t0.elapsed().as_nanos() as u64);
-    }
-    let mut out = Table::with_capacity(left.len());
-    for lt in left {
-        ctx.governor.tick()?;
-        let ms = probe.matches(lt, right, ctx)?;
-        ctx.governor.charge_tuples(ms.len() as u64)?;
-        if ms.is_empty() {
-            if let Some(nf) = outer_null {
-                out.push(lt.with_bool(nf.clone(), true));
-            }
-        } else if let Some(nf) = outer_null {
-            out.extend(ms.into_iter().map(|t| t.with_bool(nf.clone(), false)));
-        } else {
-            out.extend(ms);
-        }
-    }
-    Ok(out)
-}
-
 /// The probe side of a join, built once over the (materialized) inner
-/// input. Separating build from probe lets the pipelined executor stream
-/// the outer input through `matches` one tuple at a time — the inner table
-/// is the only materialization point — while `execute_join` keeps the
-/// all-at-once behaviour on top of the same code.
+/// input. `pipeline::JoinCursor` streams the outer input through `matches`
+/// one tuple at a time — the inner table is the only materialization point.
 pub(crate) enum JoinProbe<'p> {
     /// Full-predicate nested loop (also the fallback when the predicate
-    /// has no separable equality). When batched execution is on and the
-    /// predicate is a fusable comparison whose operands separate by side,
+    /// has no separable equality). When the predicate is a fusable
+    /// comparison whose operands separate by side,
     /// `kernel` memoizes the inner operand per inner row and compares
     /// through a type-specialized lane instead of re-evaluating the
     /// predicate per pair.
@@ -134,8 +84,8 @@ impl<'p> JoinProbe<'p> {
     }
 
     /// The nested-loop probe, with the batched kernel attached when the
-    /// pipelined+batched strategy is active and the predicate fuses. The
-    /// kernel's counters land on the predicate's own plan node, so
+    /// predicate fuses. The kernel's counters land on the predicate's own
+    /// plan node, so
     /// `EXPLAIN ANALYZE` shows batches/fused/fallback on the `Call` line.
     fn nested_loop(
         pred: &'p Plan,
@@ -143,12 +93,8 @@ impl<'p> JoinProbe<'p> {
         right_plan: &Plan,
         ctx: &Ctx<'_>,
     ) -> JoinProbe<'p> {
-        let kernel = if ctx.batched && ctx.pipelined {
-            let stats = ctx.profiler.as_ref().and_then(|p| p.stats_for(pred));
-            crate::batch::NlJoinKernel::build(pred, left_plan, right_plan, stats)
-        } else {
-            None
-        };
+        let stats = ctx.profiler.as_ref().and_then(|p| p.stats_for(pred));
+        let kernel = crate::batch::NlJoinKernel::build(pred, left_plan, right_plan, stats);
         JoinProbe::NestedLoop { pred, kernel }
     }
 

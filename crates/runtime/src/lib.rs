@@ -9,16 +9,16 @@
 //!   full general-comparison semantics (atomization + existential
 //!   quantification + `fs:convert-operand`), and XQuery ordering;
 //! * [`functions`] — the built-in function library (`fn:`, `op:`, `fs:`);
-//! * [`batch`] — batched execution: fused, type-specialized comparison
-//!   kernels for the `Call[fs:*]` predicate chains that dominate the
-//!   scalar hot path, with per-row scalar fallback preserving exact
-//!   semantics (the pipelined default; `Ctx::batched = false` opts out);
-//! * [`eval`] — the plan evaluator;
-//! * [`pipeline`] — the pipelined (cursor) execution layer for the tuple
-//!   operators: fused pull cursors that materialize only at genuine
-//!   pipeline breakers (`OrderBy`, `GroupBy`, join/product build sides);
-//!   the default strategy, with full materialization kept as an escape
-//!   hatch (`Ctx::pipelined = false`);
+//! * [`batch`] — fused, type-specialized comparison kernels for the
+//!   `Call[fs:*]` predicate chains that dominate the hot path, with a
+//!   per-row scalar fallback for heterogeneous rows preserving exact
+//!   semantics;
+//! * [`eval`] — the plan evaluator: XML operators, pipeline breakers, and
+//!   the tuples-to-items boundaries;
+//! * [`pipeline`] — the cursor layer, the one implementation of the
+//!   streaming tuple operators: pull cursors that materialize only at
+//!   genuine pipeline breakers (`OrderBy`, `GroupBy`, join/product build
+//!   sides); a table is `collect()` over a cursor;
 //! * [`groupby`] — the physical XQuery `GroupBy` of Section 5 (pre-grouping
 //!   per-item operator, post-grouping per-partition operator, index/null
 //!   fields — Fig. 4);
@@ -28,7 +28,8 @@
 //!   order-preserving B-tree (sort) join;
 //! * [`interp`] — the direct Core interpreter, reproducing the paper's "No
 //!   algebra" baseline (dynamic variable lookups in a QName-keyed context,
-//!   no tuple pipeline);
+//!   no tuple pipeline) — and the one independent oracle the algebra is
+//!   differentially tested against;
 //! * [`profile`] — per-operator runtime statistics (rows, calls, sampled
 //!   time, peak materialized bytes) collected into a [`profile::QueryProfile`]
 //!   tree mirroring the plan shape, the engine's `EXPLAIN ANALYZE` backend;

@@ -1,19 +1,18 @@
-//! Pipelined (cursor) execution of the tuple operators.
+//! Cursor execution of the tuple operators — the one implementation of
+//! every operator [`streams`] names.
 //!
-//! The logical model evaluates every operator to a complete table
-//! ([`crate::eval`]); the paper notes the physical engine instead runs the
-//! tuple algebra as a pull pipeline. This module supplies that layer: a
-//! [`TupleCursor`] per streaming operator, composed into a fused chain so
+//! The paper runs the tuple algebra as a pull pipeline; this module is that
+//! layer: a [`TupleCursor`] per streaming operator, composed into a chain so
 //! that a tuple flows from the scan to the consumer without the
 //! intermediate tables ever existing. Materialization happens only at
 //! genuine pipeline breakers — `OrderBy`, `GroupBy`, and the build (inner)
-//! side of `Product`/`Join`/`LOuterJoin` — which keep their all-at-once
-//! implementations and consume cursors on their streaming side.
+//! side of `Product`/`Join`/`LOuterJoin` — which are evaluated all at once
+//! by [`crate::eval`] and consume cursors on their streaming side. A table
+//! is [`collect`] over a cursor; a row-at-a-time consumer pulls `next`; a
+//! batched consumer pulls `next_batch`.
 //!
-//! The evaluator routes table-valued sub-plans here whenever
-//! `Ctx::pipelined` is set (the default); `CompileOptions::materialize_all`
-//! turns it off for ablation and differential testing. Both strategies
-//! compute the same tables in the same order; only the *interleaving* of
+//! The Core interpreter (`crate::interp`) is the independent oracle for
+//! this layer. Both compute the same results; only the *interleaving* of
 //! dependent-plan evaluation differs, which can change *which* of several
 //! dynamic errors surfaces first (XQuery leaves that choice to the
 //! implementation) and lets `MapSome`/`MapEvery` stop consuming input at
@@ -35,17 +34,6 @@ use crate::value::{InputVal, Table, Tuple};
 pub(crate) trait TupleCursor<'p> {
     fn next(&mut self, ctx: &mut Ctx<'_>) -> Option<xqr_xml::Result<Tuple>>;
 
-    /// Drains the remaining tuples into `out`. Semantically identical to
-    /// looping `next`; producing cursors override it to push whole match
-    /// batches, skipping the per-tuple dispatch at the point where a fused
-    /// chain finally materializes.
-    fn drain_into(&mut self, ctx: &mut Ctx<'_>, out: &mut Table) -> xqr_xml::Result<()> {
-        while let Some(t) = self.next(ctx) {
-            out.push(t?);
-        }
-        Ok(())
-    }
-
     /// Pulls roughly `n` more tuples into `out` (the batched pull
     /// interface; `n` is a target — producing cursors may overshoot by
     /// one match set). Returns `Ok(true)` while the stream may have more.
@@ -53,9 +41,9 @@ pub(crate) trait TupleCursor<'p> {
     /// Error contract: tuples pulled before an error **remain in `out`**,
     /// and consumers that do per-tuple work must process them *before*
     /// surfacing the error. That protocol keeps batched execution's
-    /// observable error precedence identical to the scalar interleaving:
-    /// an earlier tuple's downstream error still wins over a later
-    /// tuple's source error. Budgets are unaffected — every tuple is
+    /// observable error precedence identical to the row-at-a-time
+    /// interleaving: an earlier tuple's downstream error still wins over a
+    /// later tuple's source error. Budgets are unaffected — every tuple is
     /// still ticked/charged individually inside the batch loop.
     fn next_batch(
         &mut self,
@@ -63,15 +51,25 @@ pub(crate) trait TupleCursor<'p> {
         out: &mut Table,
         n: usize,
     ) -> xqr_xml::Result<bool> {
-        for _ in 0..n {
-            match self.next(ctx) {
-                Some(Ok(t)) => out.push(t),
-                Some(Err(e)) => return Err(e),
-                None => return Ok(false),
-            }
-        }
-        Ok(true)
+        next_n(self, ctx, out, n)
     }
+}
+
+/// The row-at-a-time batch pull: `n` calls of `next`.
+fn next_n<'p, C: TupleCursor<'p> + ?Sized>(
+    cur: &mut C,
+    ctx: &mut Ctx<'_>,
+    out: &mut Table,
+    n: usize,
+) -> xqr_xml::Result<bool> {
+    for _ in 0..n {
+        match cur.next(ctx) {
+            Some(Ok(t)) => out.push(t),
+            Some(Err(e)) => return Err(e),
+            None => return Ok(false),
+        }
+    }
+    Ok(true)
 }
 
 pub(crate) type BoxCursor<'p> = Box<dyn TupleCursor<'p> + 'p>;
@@ -94,43 +92,6 @@ pub fn streams(op: &Op) -> bool {
             | Op::MapFromItem { .. }
             | Op::Cond { .. }
     )
-}
-
-/// The child a streaming operator pulls tuples from (the probe side for
-/// joins/products); `None` for operators fed by items or breakers only.
-fn streamed_input(op: &Op) -> Option<&Plan> {
-    match op {
-        Op::Select { input, .. }
-        | Op::MapOp { input, .. }
-        | Op::OMap { input, .. }
-        | Op::MapConcat { input, .. }
-        | Op::OMapConcat { input, .. }
-        | Op::MapIndex { input, .. }
-        | Op::MapIndexStep { input, .. } => Some(input),
-        Op::Product(a, _) => Some(a),
-        Op::Join { left, .. } | Op::LOuterJoin { left, .. } => Some(left),
-        _ => None,
-    }
-}
-
-/// Is routing this plan through the cursor layer worthwhile? A cursor pays
-/// for itself only when it *fuses*: the operator streams **and** the child
-/// it pulls from streams too, so at least one intermediate table is never
-/// built. A lone streaming operator over a breaker degenerates to the
-/// eager loop plus cursor overhead — the evaluator keeps its direct
-/// implementation for that case (and for the thousands of small per-tuple
-/// dependent tables, where the overhead would be paid per source tuple).
-pub fn fuses(plan: &Plan) -> bool {
-    streams(&plan.op)
-        && match &plan.op {
-            // A conditional fuses when the branch it picks would; that is
-            // only known dynamically, so fuse if either branch does.
-            Op::Cond { then, els, .. } => fuses(then) || fuses(els),
-            // The items-to-tuples boundary fuses when the item source is a
-            // fusing path chain: the step results are never materialized.
-            Op::MapFromItem { input, .. } => treejoin_fuses(input),
-            op => streamed_input(op).is_some_and(|c| streams(&c.op)),
-        }
 }
 
 /// Is this item-valued plan a path step the streaming `TreeJoin` cursor can
@@ -165,15 +126,14 @@ pub fn treejoin_fuses(plan: &Plan) -> bool {
 
 /// Opens a cursor over a table-valued plan. Streaming operators get their
 /// dedicated cursor over their (recursively opened) input; everything else
-/// is evaluated to a table here and replayed — the single materialization
-/// point of a fused chain.
+/// is evaluated to a table here and replayed.
 ///
 /// With a profiler installed, streaming operators are wrapped in a
-/// [`ProfiledCursor`] attributing each `next()` to the plan node. Breakers
-/// (the `_` arm) are excluded: they run through `eval`, which records them
-/// itself. `Cond` is excluded too — it contributes no cursor of its own
-/// (the chosen branch's cursor is returned directly), so its time shows up
-/// on the branch.
+/// [`ProfiledCursor`] — their only recorder — attributing each pull to the
+/// plan node. Breakers (the `_` arm) are excluded: they run through `eval`,
+/// which records them itself. `Cond` is excluded too — it contributes no
+/// cursor of its own (the chosen branch's cursor is returned directly), so
+/// its time shows up on the branch.
 pub(crate) fn open_cursor<'p>(
     plan: &'p Plan,
     ctx: &mut Ctx<'_>,
@@ -202,12 +162,8 @@ fn open_cursor_raw<'p>(
         Op::Select { pred, input: src } => {
             // Fusable comparison predicates run through the batched
             // kernel (counters land on the predicate's plan node).
-            let kernel = if ctx.batched {
-                let stats = ctx.profiler.as_ref().and_then(|p| p.stats_for(pred));
-                crate::batch::SelectKernel::build(pred, stats)
-            } else {
-                None
-            };
+            let stats = ctx.profiler.as_ref().and_then(|p| p.stats_for(pred));
+            let kernel = crate::batch::SelectKernel::build(pred, stats);
             Ok(Box::new(SelectCursor {
                 src: open_cursor(src, ctx, input)?,
                 pred,
@@ -281,10 +237,7 @@ fn open_cursor_raw<'p>(
         // no second charge here.)
         _ => {
             let table = eval(plan, ctx, input)?.into_table()?;
-            Ok(Box::new(MaterializedCursor {
-                iter: table.into_iter(),
-                _charge: None,
-            }))
+            Ok(Box::new(MaterializedCursor::new(table)))
         }
     }
 }
@@ -349,19 +302,28 @@ fn open_join<'p>(
     }))
 }
 
-/// Drains a cursor into a table.
+/// Drains a cursor into a table, a batch at a time.
 pub(crate) fn collect(mut cur: BoxCursor<'_>, ctx: &mut Ctx<'_>) -> xqr_xml::Result<Table> {
     let mut out = Table::new();
-    cur.drain_into(ctx, &mut out)?;
+    while cur.next_batch(ctx, &mut out, crate::batch::BATCH_SIZE)? {}
     Ok(out)
 }
 
 /// Replays an already-computed table. The optional charge is the table's
 /// live-byte accounting, released back to the governor when the cursor
 /// drops.
-struct MaterializedCursor {
+pub(crate) struct MaterializedCursor {
     iter: std::vec::IntoIter<Tuple>,
     _charge: Option<xqr_xml::ByteCharge>,
+}
+
+impl MaterializedCursor {
+    pub(crate) fn new(table: Table) -> MaterializedCursor {
+        MaterializedCursor {
+            iter: table.into_iter(),
+            _charge: None,
+        }
+    }
 }
 
 impl<'p> TupleCursor<'p> for MaterializedCursor {
@@ -393,23 +355,13 @@ impl<'p> TupleCursor<'p> for ProfiledCursor<'p> {
         r
     }
 
-    fn drain_into(&mut self, ctx: &mut Ctx<'_>, out: &mut Table) -> xqr_xml::Result<()> {
-        // One exact measurement covers the whole batch; no extrapolation.
-        let before = out.len();
-        let t0 = std::time::Instant::now();
-        let r = self.inner.drain_into(ctx, out);
-        self.stats.add_exact_nanos(t0.elapsed().as_nanos() as u64);
-        self.stats.add_rows((out.len() - before) as u64);
-        r
-    }
-
     fn next_batch(
         &mut self,
         ctx: &mut Ctx<'_>,
         out: &mut Table,
         n: usize,
     ) -> xqr_xml::Result<bool> {
-        // Like `drain_into`: one exact measurement per batch.
+        // One exact measurement covers the whole batch; no extrapolation.
         let before = out.len();
         let t0 = std::time::Instant::now();
         let r = self.inner.next_batch(ctx, out, n);
@@ -494,15 +446,7 @@ impl<'p> TupleCursor<'p> for SelectCursor<'p> {
         n: usize,
     ) -> xqr_xml::Result<bool> {
         let Some(kernel) = &self.kernel else {
-            // Scalar predicate: the default per-tuple pull.
-            for _ in 0..n {
-                match self.next(ctx) {
-                    Some(Ok(t)) => out.push(t),
-                    Some(Err(e)) => return Err(e),
-                    None => return Ok(false),
-                }
-            }
-            return Ok(true);
+            return next_n(self, ctx, out, n);
         };
         // Pull a source batch, then filter. A source error is surfaced
         // only after the rows pulled before it have been filtered — the
@@ -518,17 +462,6 @@ impl<'p> TupleCursor<'p> for SelectCursor<'p> {
             }
         }
         more
-    }
-
-    fn drain_into(&mut self, ctx: &mut Ctx<'_>, out: &mut Table) -> xqr_xml::Result<()> {
-        if self.kernel.is_none() {
-            while let Some(t) = self.next(ctx) {
-                out.push(t?);
-            }
-            return Ok(());
-        }
-        while self.next_batch(ctx, out, crate::batch::BATCH_SIZE)? {}
-        Ok(())
     }
 }
 
@@ -563,27 +496,6 @@ impl<'p> TupleCursor<'p> for ProductCursor<'p> {
                 Err(e) => return Some(Err(e)),
             }
         }
-    }
-
-    fn drain_into(&mut self, ctx: &mut Ctx<'_>, out: &mut Table) -> xqr_xml::Result<()> {
-        if let Some(lt) = self.cur.take() {
-            ctx.governor
-                .charge_tuples((self.right.len() - self.ridx) as u64)?;
-            for rt in &self.right[self.ridx..] {
-                out.push(lt.concat(rt));
-            }
-        }
-        while let Some(lt) = self.left.next(ctx) {
-            let lt = lt?;
-            // Bulk charge before the batch is built: an exploding product
-            // trips the budget before its output is allocated.
-            ctx.governor.charge_tuples(self.right.len() as u64)?;
-            out.reserve(self.right.len());
-            for rt in &self.right {
-                out.push(lt.concat(rt));
-            }
-        }
-        Ok(())
     }
 
     fn next_batch(
@@ -712,31 +624,6 @@ impl<'p> TupleCursor<'p> for DepCursor<'p> {
                 Ok(None) => continue,
                 Ok(Some(t)) => return Some(Ok(t)),
                 Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-
-    fn drain_into(&mut self, ctx: &mut Ctx<'_>, out: &mut Table) -> xqr_xml::Result<()> {
-        loop {
-            for u in &mut self.inner {
-                ctx.governor.tick()?;
-                let t = match &self.mode {
-                    DepMode::Replace => u,
-                    DepMode::Concat => self.cur.as_ref().unwrap().concat(&u),
-                    DepMode::OuterConcat(nf) => self
-                        .cur
-                        .as_ref()
-                        .unwrap()
-                        .concat(&u)
-                        .with_bool((*nf).clone(), false),
-                };
-                out.push(t);
-            }
-            match self.advance(ctx) {
-                None => return Ok(()),
-                Some(Ok(None)) => {}
-                Some(Ok(Some(t))) => out.push(t),
-                Some(Err(e)) => return Err(e),
             }
         }
     }
@@ -1093,26 +980,6 @@ impl<'p> TupleCursor<'p> for JoinCursor<'p> {
         }
     }
 
-    fn drain_into(&mut self, ctx: &mut Ctx<'_>, out: &mut Table) -> xqr_xml::Result<()> {
-        for t in &mut self.pending {
-            out.push(match self.outer_null {
-                Some(nf) => t.with_bool(nf.clone(), false),
-                None => t,
-            });
-        }
-        while let Some(lt) = self.left.next(ctx) {
-            let lt = lt?;
-            let ms = self.probe.matches(&lt, &self.right, ctx)?;
-            ctx.governor.charge_tuples(ms.len().max(1) as u64)?;
-            match self.outer_null {
-                Some(nf) if ms.is_empty() => out.push(lt.with_bool(nf.clone(), true)),
-                Some(nf) => out.extend(ms.into_iter().map(|t| t.with_bool(nf.clone(), false))),
-                None => out.extend(ms),
-            }
-        }
-        Ok(())
-    }
-
     fn next_batch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1208,50 +1075,39 @@ pub fn pipeline_report(plan: &Plan) -> String {
 /// same annotation mechanism `explain_analyze()` uses, so the static and
 /// measured renderings share one plan-tree shape instead of ad-hoc
 /// appended notes.
-pub fn explain_annotations(plan: &Plan, pipelined: bool) -> Vec<Option<String>> {
-    fn walk(p: &Plan, pipelined: bool, out: &mut Vec<Option<String>>) {
-        let note = if !pipelined {
-            match &p.op {
-                op if streams(op) && !matches!(op, Op::Cond { .. }) => {
-                    Some("materializes".to_string())
-                }
-                Op::OrderBy { .. } | Op::GroupBy { .. } => Some("materializes".to_string()),
-                _ => None,
+pub fn explain_annotations(plan: &Plan) -> Vec<Option<String>> {
+    fn walk(p: &Plan, out: &mut Vec<Option<String>>) {
+        let note = match &p.op {
+            Op::Cond { .. } => None,
+            Op::TreeJoin { .. } if treejoin_fuses(p) => {
+                Some("streams (fused step chain)".to_string())
             }
-        } else {
-            match &p.op {
-                Op::Cond { .. } => None,
-                Op::TreeJoin { .. } if treejoin_fuses(p) => {
-                    Some("streams (fused step chain)".to_string())
+            Op::TreeJoin { .. } => None,
+            Op::Join { pred, .. } | Op::LOuterJoin { pred, .. } => {
+                let mut s = "streams probe side; inner side materializes for the build".to_string();
+                if xqr_core::fuse::fusable_comparison(pred).is_some() {
+                    s.push_str("; batched comparison kernel candidate");
                 }
-                Op::TreeJoin { .. } => None,
-                Op::Join { pred, .. } | Op::LOuterJoin { pred, .. } => {
-                    let mut s =
-                        "streams probe side; inner side materializes for the build".to_string();
-                    if xqr_core::fuse::fusable_comparison(pred).is_some() {
-                        s.push_str("; batched comparison kernel candidate");
-                    }
-                    Some(s)
-                }
-                Op::Product(..) => {
-                    Some("streams probe side; inner side materializes for the build".to_string())
-                }
-                Op::Select { pred, .. } if xqr_core::fuse::fusable_comparison(pred).is_some() => {
-                    Some("streams; batched comparison kernel".to_string())
-                }
-                op if streams(op) => Some("streams".to_string()),
-                Op::OrderBy { .. } | Op::GroupBy { .. } => {
-                    Some("materializes (pipeline breaker)".to_string())
-                }
-                _ => None,
+                Some(s)
             }
+            Op::Product(..) => {
+                Some("streams probe side; inner side materializes for the build".to_string())
+            }
+            Op::Select { pred, .. } if xqr_core::fuse::fusable_comparison(pred).is_some() => {
+                Some("streams; batched comparison kernel".to_string())
+            }
+            op if streams(op) => Some("streams".to_string()),
+            Op::OrderBy { .. } | Op::GroupBy { .. } => {
+                Some("materializes (pipeline breaker)".to_string())
+            }
+            _ => None,
         };
         out.push(note);
         for (c, _) in p.op.children() {
-            walk(c, pipelined, out);
+            walk(c, out);
         }
     }
     let mut out = Vec::new();
-    walk(plan, pipelined, &mut out);
+    walk(plan, &mut out);
     out
 }

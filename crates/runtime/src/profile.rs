@@ -447,6 +447,9 @@ impl ProfileNode {
             fmt_nanos(self.nanos),
             fmt_nanos(self.exclusive_nanos)
         );
+        if self.opens > 0 {
+            s.push_str(&format!(" opens={}", self.opens));
+        }
         if self.build_nanos > 0 {
             s.push_str(&format!(" build={}", fmt_nanos(self.build_nanos)));
         }

@@ -7,9 +7,9 @@
 //! cardinality, approximate bytes of materialized state, recursion and
 //! nesting depths); a [`Governor`] carries the running counters plus a
 //! [`CancellationToken`] and is checked *cooperatively* from the hot loops
-//! of both execution strategies (every pipelined cursor `next()`, every
-//! materialized operator loop, join build/probe phases, the Core
-//! interpreter's clause streams, and document parsing).
+//! of the algebra and the interpreter (every cursor `next()`, every
+//! breaker loop, join build/probe phases, the Core interpreter's clause
+//! streams, and document parsing).
 //!
 //! Violations surface as [`XmlError`]s with stable governor codes in the
 //! repo's `err:`-style convention:
@@ -112,17 +112,16 @@ pub struct Limits {
     /// Directory for the per-query scoped spill dir; defaults to the
     /// `XQR_SPILL_DIR` environment variable, then the system temp dir.
     pub spill_dir: Option<PathBuf>,
-    /// User-function recursion depth (both strategies).
+    /// User-function recursion depth (algebra and Core interpreter).
     pub max_recursion_depth: usize,
     /// Expression nesting depth in the query parser.
     pub max_parse_depth: usize,
     /// Element nesting depth in XML document parsing.
     pub max_document_depth: usize,
-    /// Fault injection for testing the isolation boundary: panic after
-    /// this many governor ticks on the *first* attempt of a run. The
-    /// engine disarms it on a graceful-degradation retry, so tests can
-    /// prove a pipelined panic is caught and the materialized fallback
-    /// completes. Never set in production.
+    /// Fault injection for testing the isolation boundary: panic once,
+    /// after this many governor ticks, so tests can prove a panic
+    /// mid-execution is caught and surfaces as an internal error. Never
+    /// set in production.
     pub panic_after_ticks: Option<u64>,
 }
 
@@ -519,7 +518,7 @@ impl Governor {
         self.0.spill_enabled
     }
 
-    /// Did this run ever enter spill mode? (Engine trace/fallback notes.)
+    /// Did this run ever enter spill mode? (Engine trace/retry notes.)
     pub fn spilled(&self) -> bool {
         self.0.spill_mode.get()
     }
@@ -590,13 +589,6 @@ impl Governor {
     pub fn exit_frame(&self) {
         let g = &*self.0;
         g.depth.set(g.depth.get().saturating_sub(1));
-    }
-
-    /// Disarms test-only fault injection (used by the engine before a
-    /// graceful-degradation retry).
-    pub fn disarm_fault_injection(&self) {
-        self.0.panic_at.set(u64::MAX);
-        self.rearm();
     }
 
     /// Tuple-work units consumed so far (diagnostics / tests).

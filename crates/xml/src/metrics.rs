@@ -302,8 +302,8 @@ impl MetricsRegistry {
         *m.entry(code.to_string()).or_insert(0) += 1;
     }
 
-    /// A pipelined run failed and was retried under the materialized
-    /// strategy.
+    /// A run whose spilling failed (`XQRG0005`) was retried with spilling
+    /// disabled.
     pub fn record_fallback(&self) {
         self.fallbacks_taken.fetch_add(1, Ordering::Relaxed);
     }

@@ -189,7 +189,10 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over bytes: the workspace's one non-cryptographic byte hash
+/// (retry jitter here; canonical plan hashes and plan-cache text keys in
+/// `xqr-core::canon`).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

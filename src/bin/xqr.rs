@@ -10,7 +10,6 @@
 //!                           declared type (repeatable)
 //!       --repeat N          run the query N times through the plan cache
 //!       --mode MODE         no-algebra | no-optim | nl | hash | sort  [hash]
-//!       --materialize       full intermediate tables instead of pipelined cursors
 //!       --explain           print the compiled plan instead of running
 //!       --stats             print rewrite-rule applications to stderr
 //!       --pretty            indent element-only output
@@ -67,7 +66,6 @@ struct Args {
     params: Vec<(String, String)>,
     repeat: usize,
     mode: ExecutionMode,
-    materialize: bool,
     explain: bool,
     stats: bool,
     pretty: bool,
@@ -86,7 +84,6 @@ const USAGE: &str = "usage: xqr [OPTIONS] (-q QUERY | QUERY_FILE)
                           declared type (repeatable)
       --repeat N          run the query N times through the plan cache
       --mode MODE         no-algebra | no-optim | nl | hash | sort  [hash]
-      --materialize       full intermediate tables instead of pipelined cursors
       --explain           print the compiled plan instead of running
       --stats             print rewrite-rule applications to stderr
       --pretty            indent element-only output
@@ -107,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
         params: Vec::new(),
         repeat: 1,
         mode: ExecutionMode::OptimHashJoin,
-        materialize: false,
         explain: false,
         stats: false,
         pretty: false,
@@ -183,7 +179,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse::<u64>()
                     .map_err(|_| format!("--drain-ms expects milliseconds, got {v:?}"))?;
             }
-            "--materialize" => out.materialize = true,
             "--explain" => out.explain = true,
             "--stats" => out.stats = true,
             "--pretty" => out.pretty = true,
@@ -308,8 +303,7 @@ fn run(args: Args) -> Result<(), String> {
     for (name, val) in &args.vars {
         engine.bind_variable(name, Sequence::singleton(AtomicValue::string(val.as_str())));
     }
-    let mut options = CompileOptions::mode(args.mode);
-    options.materialize_all = args.materialize;
+    let options = CompileOptions::mode(args.mode);
     let t_prepare = Instant::now();
     let mut prepared = engine
         .prepare_cached(&query, &options)

@@ -3,8 +3,9 @@
 //! The indexed `tree_join` must agree with the naive per-node reference
 //! walk (`axes::naive`, the pre-index implementation kept behind the
 //! `naive-axes` feature) on every axis and node-test combination, over
-//! random documents and random step chains. At the engine level, pipelined
-//! (streaming `TreeJoin` cursor) and materialized execution must produce
+//! random documents and random step chains. At the engine level, the
+//! algebra (streaming `TreeJoin` cursors over fused step chains) and the
+//! Core interpreter (the set-at-a-time kernel, step by step) must produce
 //! identical results on random path queries, and under tight governor
 //! budgets may differ only in *where* a resource limit fires — any
 //! divergence must be a governor limit code on both sides (or a limit on
@@ -188,11 +189,11 @@ fn is_limit(code: &str) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Engine level: pipelined (streaming TreeJoin cursors) and fully
-    /// materialized execution agree exactly on random path queries, both as
-    /// bare paths and through the tuple pipeline (`for ... return`).
+    /// Engine level: the algebra (streaming TreeJoin cursors) and the Core
+    /// interpreter agree exactly on random path queries, both as bare
+    /// paths and through the tuple pipeline (`for ... return`).
     #[test]
-    fn strategies_agree_on_random_paths(
+    fn algebra_agrees_with_oracle_on_random_paths(
         tree in arb_xml_tree(),
         chain in prop::collection::vec((0usize..12, 0usize..6), 1..4),
     ) {
@@ -201,15 +202,15 @@ proptest! {
         e.bind_document("t.xml", &xml).unwrap();
         let path = path_query(&chain);
         for q in [path.clone(), format!("for $x in {path} return $x")] {
+            let oracle = outcome(&e, &q, &CompileOptions::mode(ExecutionMode::NoAlgebra));
             for mode in [ExecutionMode::AlgebraNoOptim, ExecutionMode::OptimHashJoin] {
                 let p = outcome(&e, &q, &CompileOptions::mode(mode));
-                let m = outcome(&e, &q, &CompileOptions::materialized(mode));
-                prop_assert_eq!(&p, &m, "strategies disagree on {}", &q);
+                prop_assert_eq!(&p, &oracle, "{:?} disagrees with the oracle on {}", mode, &q);
             }
         }
     }
 
-    /// Engine level, tight budgets: the strategies interleave governor
+    /// Engine level, tight budgets: the two engines interleave governor
     /// charges differently (streaming charges as nodes flow; set-at-a-time
     /// charges per context batch), so a limit may fire at different points
     /// — but any divergence must be a governor limit, never a wrong result
@@ -225,9 +226,16 @@ proptest! {
         e.bind_document("t.xml", &xml).unwrap();
         let q = path_query(&chain);
         let limits = Limits::none().with_max_tuples(budget);
-        let mode = ExecutionMode::OptimHashJoin;
-        let p = outcome(&e, &q, &CompileOptions::mode(mode).limits(limits.clone()));
-        let m = outcome(&e, &q, &CompileOptions::materialized(mode).limits(limits));
+        let p = outcome(
+            &e,
+            &q,
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(limits.clone()),
+        );
+        let m = outcome(
+            &e,
+            &q,
+            &CompileOptions::mode(ExecutionMode::NoAlgebra).limits(limits),
+        );
         match (&p, &m) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "within budget, results differ: {}", &q),
             (Err(a), Err(b)) => prop_assert!(

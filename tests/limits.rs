@@ -1,7 +1,6 @@
 //! The resource-governor suite: deadlines, cancellation, cardinality and
-//! memory budgets, depth guards, fault isolation, and graceful
-//! degradation — across both execution strategies (pipelined and
-//! materialized) and both engines (algebra and the Core interpreter).
+//! memory budgets, depth guards, and fault isolation — across the algebra
+//! modes and the Core interpreter.
 
 use std::time::{Duration, Instant};
 
@@ -13,6 +12,14 @@ use xqr::engine::{
 /// A Product-heavy query that would run for a very long time ungoverned.
 const EXPLOSIVE: &str = "count(for $x in 1 to 100000, $y in 1 to 100000 \
                          where $x + $y = 0 return 1)";
+
+/// Every mode that runs the algebra.
+const ALGEBRA_MODES: [ExecutionMode; 4] = [
+    ExecutionMode::AlgebraNoOptim,
+    ExecutionMode::OptimNestedLoop,
+    ExecutionMode::OptimHashJoin,
+    ExecutionMode::OptimSortJoin,
+];
 
 fn limit_code(e: &EngineError) -> Option<&str> {
     match e {
@@ -68,39 +75,18 @@ fn cross_thread_cancellation() {
 }
 
 /// (b) The tuple-cardinality budget trips deterministically, with the same
-/// error code under the pipelined and the materialized strategy.
+/// error code in every algebra mode.
 #[test]
 fn tuple_budget_identical_across_strategies() {
-    for mode in [
-        ExecutionMode::AlgebraNoOptim,
-        ExecutionMode::OptimNestedLoop,
-        ExecutionMode::OptimHashJoin,
-        ExecutionMode::OptimSortJoin,
-    ] {
+    for mode in ALGEBRA_MODES {
         let e = Engine::new();
         let limits = Limits::none().with_max_tuples(10_000);
-        let pipelined = e
-            .prepare(
-                EXPLOSIVE,
-                &CompileOptions::mode(mode).limits(limits.clone()),
-            )
+        let err = e
+            .prepare(EXPLOSIVE, &CompileOptions::mode(mode).limits(limits))
             .unwrap()
-            .run(&e);
-        let materialized = e
-            .prepare(
-                EXPLOSIVE,
-                &CompileOptions::materialized(mode).limits(limits),
-            )
-            .unwrap()
-            .run(&e);
-        let pc = pipelined.as_ref().expect_err("pipelined must trip");
-        let mc = materialized.as_ref().expect_err("materialized must trip");
-        assert_eq!(limit_code(pc), Some("XQRG0003"), "{mode:?}: {pc}");
-        assert_eq!(
-            limit_code(pc),
-            limit_code(mc),
-            "{mode:?}: strategies disagree: {pc} vs {mc}"
-        );
+            .run(&e)
+            .expect_err("must trip");
+        assert_eq!(limit_code(&err), Some("XQRG0003"), "{mode:?}: {err}");
     }
 }
 
@@ -120,30 +106,25 @@ fn tuple_budget_no_algebra() {
     assert_eq!(limit_code(&err), Some("XQRG0003"), "{err}");
 }
 
-/// (b) The byte budget trips with identical codes under both strategies.
-/// The query carries an `order by` pipeline breaker, so even the pipelined
-/// strategy must materialize the sorted table and charge for it. Spilling
-/// is disabled: with it on (the default), crossing the budget degrades to
-/// out-of-core execution instead of erroring — see `spill_differential.rs`.
+/// (b) The byte budget trips with the same code in every algebra mode.
+/// The query carries an `order by` pipeline breaker, so the sorted table
+/// must materialize and be charged for. Spilling is disabled: with it on
+/// (the default), crossing the budget degrades to out-of-core execution
+/// instead of erroring — see `spill_differential.rs`.
 #[test]
 fn byte_budget_identical_across_strategies() {
     let q = "count(for $x in 1 to 50000 \
              order by -$x return string($x))";
-    let mode = ExecutionMode::OptimHashJoin;
-    let e = Engine::new();
-    let limits = Limits::none().with_max_bytes(64 * 1024).with_spill(None);
-    let pipelined = e
-        .prepare(q, &CompileOptions::mode(mode).limits(limits.clone()))
-        .unwrap()
-        .run(&e);
-    let materialized = e
-        .prepare(q, &CompileOptions::materialized(mode).limits(limits))
-        .unwrap()
-        .run(&e);
-    let pc = pipelined.as_ref().expect_err("pipelined must trip");
-    let mc = materialized.as_ref().expect_err("materialized must trip");
-    assert_eq!(limit_code(pc), Some("XQRG0004"), "{pc}");
-    assert_eq!(limit_code(pc), limit_code(mc), "{pc} vs {mc}");
+    for mode in ALGEBRA_MODES {
+        let e = Engine::new();
+        let limits = Limits::none().with_max_bytes(64 * 1024).with_spill(None);
+        let err = e
+            .prepare(q, &CompileOptions::mode(mode).limits(limits))
+            .unwrap()
+            .run(&e)
+            .expect_err("must trip");
+        assert_eq!(limit_code(&err), Some("XQRG0004"), "{mode:?}: {err}");
+    }
 }
 
 /// Budgets do not fire below the threshold: a governed run that fits the
@@ -300,39 +281,6 @@ fn injected_panic_is_isolated() {
         }
         other => panic!("expected Internal, got {other}"),
     }
-}
-
-/// Graceful degradation: with fallback enabled, the injected pipelined
-/// panic is caught, the query retries materialized (fault injection
-/// disarmed), succeeds, and explain() records the fallback.
-#[test]
-fn fallback_retries_materialized_and_is_reported() {
-    let e = Engine::new();
-    let mut limits = Limits::none();
-    limits.panic_after_ticks = Some(5);
-    let p = e
-        .prepare(
-            "for $x in 1 to 1000 return $x",
-            &CompileOptions::default().limits(limits).with_fallback(),
-        )
-        .unwrap();
-    let out = p.run_to_string(&e).expect("fallback must recover");
-    assert!(out.starts_with("1 2 3"));
-    assert!(
-        p.explain().contains("fallback"),
-        "explain must record the degradation:\n{}",
-        p.explain()
-    );
-    // Without fallback the same fault is an error (isolated, not unwound).
-    let mut limits = Limits::none();
-    limits.panic_after_ticks = Some(5);
-    let p2 = e
-        .prepare(
-            "for $x in 1 to 1000 return $x",
-            &CompileOptions::default().limits(limits),
-        )
-        .unwrap();
-    assert!(matches!(p2.run(&e), Err(EngineError::Internal { .. })));
 }
 
 /// Engine-wide limits installed with set_limits govern prepared queries

@@ -4,10 +4,11 @@
 //!
 //! Structural invariants checked here:
 //!
-//! * a profile tree mirrors the executed plan node-for-node, on every
-//!   execution strategy (pipelined, materialized, Core interpreter);
+//! * a profile tree mirrors the executed plan node-for-node, in every
+//!   algebra mode (the Core interpreter keeps counters, not a tree);
 //! * the root operator's recorded row count equals the query result's
-//!   length (property-tested over random inputs);
+//!   length (property-tested over random inputs), and every streaming
+//!   operator is recorded exactly once — by its cursor;
 //! * with profiling disabled nothing is recorded and `explain()` output is
 //!   byte-identical before and after a run;
 //! * profile JSON parses with an independent mini JSON parser and carries
@@ -24,9 +25,19 @@ use std::rc::Rc;
 use common::json;
 use proptest::prelude::*;
 use xqr::core::algebra::plan_size;
-use xqr::engine::{CollectingTracer, CompileOptions, Engine, ExecutionMode, Limits, TraceEvent};
+use xqr::engine::{
+    CollectingTracer, CompileOptions, Engine, ExecutionMode, Limits, ProfileNode, TraceEvent,
+};
 use xqr::xml::metrics::metrics;
 use xqr_xmark::{generate, query, GenOptions};
+
+/// Every mode that runs the algebra (and so records an operator tree).
+const ALGEBRA_MODES: [ExecutionMode; 4] = [
+    ExecutionMode::AlgebraNoOptim,
+    ExecutionMode::OptimNestedLoop,
+    ExecutionMode::OptimHashJoin,
+    ExecutionMode::OptimSortJoin,
+];
 
 fn xmark_engine() -> Engine {
     let xml = generate(&GenOptions::for_bytes(120_000));
@@ -48,35 +59,82 @@ const SHAPE_QUERIES: [&str; 4] = [
 ];
 
 #[test]
-fn profile_tree_mirrors_plan_on_both_algebra_strategies() {
+fn profile_tree_mirrors_plan_in_every_algebra_mode() {
     let e = Engine::new();
     for q in SHAPE_QUERIES {
-        for materialize in [false, true] {
-            let mut opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
-            opts.materialize_all = materialize;
+        for mode in ALGEBRA_MODES {
+            let opts = CompileOptions::mode(mode).with_profiling();
             let prepared = e.prepare(q, &opts).unwrap();
             prepared.run(&e).unwrap();
             let profile = prepared.profile().expect("profile recorded");
-            let expected = if materialize {
-                "materialized"
-            } else {
-                "pipelined"
-            };
-            assert_eq!(profile.strategy, expected, "{q:?}");
+            assert_eq!(profile.strategy, "pipelined", "{q:?}");
             let root = profile.root.as_ref().expect("operator tree");
             let plan = &prepared.compiled().unwrap().body;
             assert_eq!(
                 root.size(),
                 plan_size(plan),
-                "{q:?} ({expected}): profile tree and plan tree differ in shape"
+                "{q:?} ({mode:?}): profile tree and plan tree differ in shape"
             );
-            assert!(root.touched, "{q:?} ({expected}): root never recorded");
+            assert!(root.touched, "{q:?} ({mode:?}): root never recorded");
             // The annotation vector covers every plan node in preorder.
             assert_eq!(profile.annotations().len(), plan_size(plan));
             let rendered = prepared.explain_analyze();
             assert!(rendered.contains("rows="), "{rendered}");
-            assert!(rendered.contains(&format!("strategy: {expected}")));
+            assert!(rendered.contains("strategy: pipelined"));
         }
+    }
+}
+
+// ===== every operator is recorded once =====================================
+
+/// Collects `(rows, opens)` of every profile node whose label starts with
+/// `label`, in preorder.
+fn recorded(n: &ProfileNode, label: &str, out: &mut Vec<(u64, u64)>) {
+    if n.label.starts_with(label) {
+        out.push((n.rows, n.opens));
+    }
+    for c in &n.children {
+        recorded(c, label, out);
+    }
+}
+
+/// A streaming operator has exactly one recorder, its cursor: `rows` is its
+/// true output cardinality and `opens` the number of times it was opened —
+/// whether it heads a fused chain, runs alone over a breaker, or is a
+/// per-tuple dependent plan reached through `eval` (where a second recorder
+/// would double both).
+#[test]
+fn streaming_operators_are_recorded_once_per_open() {
+    let e = Engine::new();
+    for mode in ALGEBRA_MODES {
+        let run = |q: &str| {
+            let p = e
+                .prepare(q, &CompileOptions::mode(mode).with_profiling())
+                .unwrap();
+            let result = p.run(&e).unwrap();
+            let root = p.profile().unwrap().root.unwrap();
+            assert_eq!(root.rows, result.len() as u64, "{mode:?} {q}");
+            (root, p.explain_analyze())
+        };
+        let of = |root: &ProfileNode, label: &str| {
+            let mut v = Vec::new();
+            recorded(root, label, &mut v);
+            v.sort_unstable();
+            v
+        };
+
+        let (root, text) = run("for $x in (1,2,3,4) where $x > 2 return $x");
+        assert_eq!(of(&root, "Select"), [(2, 1)], "{mode:?}\n{text}");
+        assert_eq!(of(&root, "MapFromItem"), [(4, 1)], "{mode:?}\n{text}");
+
+        // The inner generator is a dependent plan, opened once per outer
+        // tuple: 1 + 2 + 3 rows over three opens.
+        let (root, text) = run("for $x in (1,2,3) return (for $y in (1 to $x) return $y * 2)");
+        assert_eq!(
+            of(&root, "MapFromItem"),
+            [(3, 1), (6, 3)],
+            "{mode:?}\n{text}"
+        );
     }
 }
 
@@ -108,24 +166,19 @@ fn interp_profile_counts_expressions_and_clauses() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The root operator's recorded rows must equal the result length on
-    /// both algebra strategies, for random integer inputs.
+    /// The root operator's recorded rows must equal the result length in
+    /// every algebra mode, for random integer inputs.
     #[test]
     fn root_rows_equal_result_length(vals in prop::collection::vec(0i64..20, 1..12), cut in 0i64..20) {
         let list = vals.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", ");
         let q = format!("for $x in ({list}) where $x >= {cut} return $x");
         let e = Engine::new();
-        for materialize in [false, true] {
-            let mut opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
-            opts.materialize_all = materialize;
+        for mode in ALGEBRA_MODES {
+            let opts = CompileOptions::mode(mode).with_profiling();
             let prepared = e.prepare(&q, &opts).unwrap();
             let result = prepared.run(&e).unwrap();
             let root = prepared.profile().unwrap().root.unwrap();
-            prop_assert_eq!(
-                root.rows,
-                result.len() as u64,
-                "{} (materialize={})", q, materialize
-            );
+            prop_assert_eq!(root.rows, result.len() as u64, "{} ({:?})", q, mode);
         }
     }
 }
@@ -173,16 +226,53 @@ fn explain_annotates_the_plan_tree_itself() {
         "{text}"
     );
     assert!(text.contains("-- streams"), "{text}");
+}
 
-    let materialized = e
+/// `explain()` tells the truth: an operator annotated `streams` is run by a
+/// cursor even when it stands alone over a breaker — its `explain_analyze`
+/// line carries the cursor's `opens` counter. (XQuery 1.0 puts `where`
+/// before `order by`, so the breaker a lone `Select` can sit on is the
+/// unnested `GroupBy`.)
+#[test]
+fn lone_select_over_a_breaker_streams_as_annotated() {
+    let e = Engine::new();
+    let q = "for $x in (3,1,2) let $a := (for $y in (1,2) where $y = $x return $y) \
+             where count($a) > 0 return $x";
+    let prepared = e
         .prepare(
             q,
-            &CompileOptions::materialized(ExecutionMode::OptimHashJoin),
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling(),
         )
         .unwrap();
-    let text = materialized.explain();
-    assert!(text.contains("execution: materialized"), "{text}");
-    assert!(text.contains("-- materializes"), "{text}");
+    // The `Select` line and the line of its table input: its `()` child,
+    // one level (four columns) in; the `{}` child is its predicate.
+    let select_and_input = |text: &str| {
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        let mut lines = text.lines().skip_while(|l| !l.contains("Select"));
+        let select = lines.next().unwrap_or_else(|| panic!("no Select:\n{text}"));
+        let input =
+            lines.find(|l| indent(l) == indent(select) + 4 && l.trim_start().starts_with("() "));
+        (select.to_string(), input.unwrap_or_default().to_string())
+    };
+    let (select, input) = select_and_input(&prepared.explain());
+    assert!(
+        select.ends_with("-- streams; batched comparison kernel"),
+        "{select}"
+    );
+    assert!(
+        input.contains("GroupBy") && input.contains("pipeline breaker"),
+        "{input}"
+    );
+    assert_eq!(prepared.run_to_string(&e).unwrap(), "1 2");
+    let (select, input) = select_and_input(&prepared.explain_analyze());
+    assert!(
+        select.contains("rows=2") && select.contains("opens=1"),
+        "{select}"
+    );
+    assert!(
+        input.contains("GroupBy") && input.contains("parts=3"),
+        "{input}"
+    );
 }
 
 // ===== phase tracing =======================================================
@@ -375,42 +465,35 @@ fn limit_errors_are_counted_by_code() {
 // ===== acceptance: XMark queries, time telescopes to wall ==================
 
 #[test]
-fn xmark_profiles_sum_to_wall_clock_on_both_strategies() {
+fn xmark_profiles_sum_to_wall_clock() {
     let e = xmark_engine();
     for n in [6, 7, 14] {
-        for materialize in [false, true] {
-            let mut opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
-            opts.materialize_all = materialize;
-            let prepared = e.prepare(query(n), &opts).unwrap();
-            let result = prepared.run(&e).unwrap();
-            let profile = prepared.profile().unwrap();
-            let root = profile.root.as_ref().unwrap();
-            assert_eq!(
-                root.rows,
-                result.len() as u64,
-                "Q{n} materialize={materialize}"
-            );
-            assert!(root.touched, "Q{n}");
-            // Per-operator self times telescope back to the root's
-            // inclusive estimate, and the root estimate cannot wildly
-            // exceed the measured wall clock (sampling error allowed: the
-            // estimate extrapolates 1-in-64 samples).
-            assert!(root.nanos > 0, "Q{n}: no time recorded");
-            // Self times telescope: the sum over the tree reconstructs at
-            // least the root's inclusive estimate (saturating subtraction
-            // can only push individual self times up, never down).
-            assert!(
-                root.exclusive_sum() >= root.nanos,
-                "Q{n}: exclusive times must telescope to the root inclusive"
-            );
-            assert!(
-                root.nanos <= profile.wall_nanos.saturating_mul(4).max(1_000_000),
-                "Q{n} materialize={materialize}: estimate {} vs wall {}",
-                root.nanos,
-                profile.wall_nanos
-            );
-            let rendered = prepared.explain_analyze();
-            assert!(rendered.contains("rows="), "Q{n}: {rendered}");
-        }
+        let opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
+        let prepared = e.prepare(query(n), &opts).unwrap();
+        let result = prepared.run(&e).unwrap();
+        let profile = prepared.profile().unwrap();
+        let root = profile.root.as_ref().unwrap();
+        assert_eq!(root.rows, result.len() as u64, "Q{n}");
+        assert!(root.touched, "Q{n}");
+        // Per-operator self times telescope back to the root's
+        // inclusive estimate, and the root estimate cannot wildly
+        // exceed the measured wall clock (sampling error allowed: the
+        // estimate extrapolates 1-in-64 samples).
+        assert!(root.nanos > 0, "Q{n}: no time recorded");
+        // Self times telescope: the sum over the tree reconstructs at
+        // least the root's inclusive estimate (saturating subtraction
+        // can only push individual self times up, never down).
+        assert!(
+            root.exclusive_sum() >= root.nanos,
+            "Q{n}: exclusive times must telescope to the root inclusive"
+        );
+        assert!(
+            root.nanos <= profile.wall_nanos.saturating_mul(4).max(1_000_000),
+            "Q{n}: estimate {} vs wall {}",
+            root.nanos,
+            profile.wall_nanos
+        );
+        let rendered = prepared.explain_analyze();
+        assert!(rendered.contains("rows="), "Q{n}: {rendered}");
     }
 }

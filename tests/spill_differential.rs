@@ -1,7 +1,8 @@
 //! Spill differential suite: the out-of-core operators (Grace hash join,
 //! partition-spilling group-by, external merge-sort) must produce results
 //! identical to their in-memory counterparts — same serialized output,
-//! same error codes — across both execution strategies, on the XMark join
+//! same error codes — whether the watermark flips mid-query or before the
+//! first operator opens, on the XMark join
 //! queries, a fixed corpus of join/group-by/order-by shapes (including
 //! skewed keys that force recursive repartitioning and a single oversized
 //! key that hits the depth cap), and randomly generated FLWOR queries.
@@ -9,7 +10,7 @@
 //! The second half (`mod failpoints`, compiled with
 //! `--features failpoints`) drives the deterministic fault paths: spill
 //! I/O retry-then-recover, retry exhaustion (`XQRG0005`), the
-//! retry-with-spilling-disabled engine fallback, and temp-file hygiene
+//! retry-with-spilling-disabled engine recovery, and temp-file hygiene
 //! after an injected panic.
 
 use std::path::PathBuf;
@@ -50,31 +51,30 @@ fn outcome(e: &Engine, q: &str, opts: &CompileOptions) -> Result<String, String>
     }
 }
 
-fn opts(mode: ExecutionMode, materialized: bool) -> CompileOptions {
-    if materialized {
-        CompileOptions::materialized(mode)
-    } else {
-        CompileOptions::mode(mode)
-    }
-}
-
 /// A per-query limit set that forces spilling (spilling is on by default;
 /// the tiny byte budget makes the watermark trip almost immediately).
 fn spilled_limits() -> Limits {
     Limits::none().with_max_bytes(TINY)
 }
 
-/// The core differential: unlimited in-memory vs forced-spill, pipelined
-/// and materialized, under both equality-join algorithms.
+/// A prolog whose global sorts (and is charged for) 200 tuples before the
+/// query body opens a single cursor. Under [`spilled_limits`] that flips
+/// the watermark up front, so the body's *first* join already runs the
+/// Grace join — without it a lone join flips the watermark mid-build, too
+/// late to spill itself.
+const FLIP_FIRST: &str = "declare variable $flip := for $i in (1 to 200) order by $i return $i; ";
+
+/// The core differential: unlimited in-memory vs forced-spill, with the
+/// watermark flipping mid-query and up front, under both equality-join
+/// algorithms.
 fn assert_spill_matches_in_memory(e: &Engine, q: &str, label: &str) {
     for mode in [ExecutionMode::OptimHashJoin, ExecutionMode::OptimSortJoin] {
-        for materialized in [false, true] {
-            let in_mem = outcome(e, q, &opts(mode, materialized).limits(Limits::none()));
-            let spilled = outcome(e, q, &opts(mode, materialized).limits(spilled_limits()));
+        for q in [q.to_string(), format!("{FLIP_FIRST}{q}")] {
+            let in_mem = outcome(e, &q, &CompileOptions::mode(mode).limits(Limits::none()));
+            let spilled = outcome(e, &q, &CompileOptions::mode(mode).limits(spilled_limits()));
             assert_eq!(
                 in_mem, spilled,
-                "{label}: spilled run diverged from in-memory \
-                 (mode {mode:?}, materialized {materialized})\nquery: {q}"
+                "{label}: spilled run diverged from in-memory (mode {mode:?})\nquery: {q}"
             );
         }
     }
@@ -111,12 +111,13 @@ fn entries(dir: &PathBuf) -> usize {
 const SPILL_JOIN: &str = "for $x in (1 to 800), $y in (1 to 800) \
                           where $x = $y order by $y descending return $y";
 
-/// The fallback-path canary, run under the *materialized* strategy: the
-/// input tables are charged before the join starts, so a low watermark
-/// flips spill mode ahead of the build and the Grace join goes to disk
-/// no matter how roomy the budget — leaving plenty of headroom for the
-/// strict in-memory rerun after a spill failure.
-const COUNT_JOIN: &str = "count(for $x in (1 to 800), $y in (1 to 800) where $x = $y return $x)";
+/// The retry-path canary: behind [`FLIP_FIRST`] the join is a Grace join,
+/// which goes to disk no matter how roomy the budget (an external sort
+/// would stay in memory while the table fits one run) — leaving plenty of
+/// headroom for the strict in-memory rerun after a spill failure.
+fn count_join() -> String {
+    format!("{FLIP_FIRST}count(for $x in (1 to 800), $y in (1 to 800) where $x = $y return $x)")
+}
 
 /// The in-memory reference result for a query (unlimited budget).
 fn in_memory(e: &Engine, q: &str) -> Result<String, String> {
@@ -245,7 +246,7 @@ fn disabling_spill_restores_the_hard_byte_budget() {
     let strict = Limits::none().with_max_bytes(TINY).with_spill(None);
     let r = outcome(
         &e,
-        query(8),
+        query(9),
         &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(strict),
     );
     assert_eq!(
@@ -308,7 +309,7 @@ fn unwritable_spill_parent_fails_with_xqrg0005_then_falls_back() {
     let mut e = Engine::new();
     e.bind_document("bib.xml", BIB).unwrap();
     // A ~10 KB watermark forces the spill attempt while the 1 MB hard
-    // budget still holds the whole query in memory on the fallback rerun.
+    // budget still holds the whole query in memory on the rerun.
     let limits = || {
         Limits::none()
             .with_max_bytes(1024 * 1024)
@@ -318,8 +319,8 @@ fn unwritable_spill_parent_fails_with_xqrg0005_then_falls_back() {
 
     let hard = outcome(
         &e,
-        COUNT_JOIN,
-        &CompileOptions::materialized(ExecutionMode::OptimHashJoin).limits(limits()),
+        &count_join(),
+        &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(limits()),
     );
     assert_eq!(
         hard,
@@ -327,21 +328,21 @@ fn unwritable_spill_parent_fails_with_xqrg0005_then_falls_back() {
         "an unusable spill dir exhausts the I/O retries"
     );
 
-    // With the fallback enabled the engine retries once with spilling
+    // With the retry enabled the engine reruns once with spilling
     // disabled; the hard budget then holds the query in memory.
     let p = e
         .prepare(
-            COUNT_JOIN,
-            &CompileOptions::materialized(ExecutionMode::OptimHashJoin)
+            &count_join(),
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin)
                 .limits(limits())
-                .with_fallback(),
+                .with_retry_without_spill(),
         )
         .unwrap();
     let soft = p.run_to_string(&e).map_err(err_code);
     assert_eq!(soft, Ok("800".to_string()));
     assert!(
         p.explain().contains("spilling failed"),
-        "the fallback must be surfaced by explain(): {}",
+        "the retry must be surfaced by explain(): {}",
         p.explain()
     );
     let _ = std::fs::remove_file(&file);
@@ -367,6 +368,34 @@ fn explain_analyze_reports_spilled_bytes() {
         analyze.contains("spilled="),
         "EXPLAIN ANALYZE must carry the per-operator spill annotation:\n{analyze}"
     );
+}
+
+/// The coverage claim behind [`FLIP_FIRST`]: a lone equi-join builds in
+/// memory (the watermark flips mid-build), and the same join behind the
+/// prolog goes through the Grace join.
+#[test]
+fn flip_first_prolog_sends_the_first_join_out_of_core() {
+    let _l = lock();
+    let e = Engine::new();
+    let join = "count(for $x in (1 to 400), $y in (1 to 400) where $x = $y return $x)";
+    let join_line = |q: &str| {
+        let p = e
+            .prepare(
+                q,
+                &CompileOptions::mode(ExecutionMode::OptimHashJoin)
+                    .limits(spilled_limits())
+                    .with_profiling(),
+            )
+            .unwrap();
+        assert_eq!(p.run_to_string(&e).map_err(err_code), Ok("400".to_string()));
+        let analyze = p.explain_analyze();
+        let line = analyze.lines().find(|l| l.contains(" Join "));
+        line.unwrap_or_else(|| panic!("no Join line:\n{analyze}"))
+            .to_string()
+    };
+    assert!(!join_line(join).contains("spill_parts="), "lone join");
+    let flipped = join_line(&format!("{FLIP_FIRST}{join}"));
+    assert!(flipped.contains("spill_parts="), "{flipped}");
 }
 
 // ===== randomized cross-limit property =====================================
@@ -418,13 +447,10 @@ proptest! {
         let _l = lock();
         let e = Engine::new();
         for mode in [ExecutionMode::OptimHashJoin, ExecutionMode::OptimSortJoin] {
-            for materialized in [false, true] {
-                let in_mem = outcome(&e, &q, &opts(mode, materialized).limits(Limits::none()));
-                let spilled = outcome(&e, &q, &opts(mode, materialized).limits(spilled_limits()));
-                prop_assert_eq!(
-                    &in_mem, &spilled,
-                    "mode {:?} materialized {} query {}", mode, materialized, q
-                );
+            for q in [q.clone(), format!("{FLIP_FIRST}{q}")] {
+                let in_mem = outcome(&e, &q, &CompileOptions::mode(mode).limits(Limits::none()));
+                let spilled = outcome(&e, &q, &CompileOptions::mode(mode).limits(spilled_limits()));
+                prop_assert_eq!(&in_mem, &spilled, "mode {:?} query {}", mode, q);
             }
         }
     }
@@ -489,24 +515,24 @@ mod failpoints {
         let e = bib_engine();
         let _g = FailGuard::new("spill::write", "err(1000)").unwrap();
         // Low watermark over a roomy budget: run 1 tries to spill and the
-        // injected fault kills it; the fallback rerun with spilling
-        // disabled stays under the 1 MB hard budget and succeeds.
+        // injected fault kills it; the rerun with spilling disabled stays
+        // under the 1 MB hard budget and succeeds.
         let limits = Limits::none()
             .with_max_bytes(1024 * 1024)
             .with_spill_watermark(1);
         let p = e
             .prepare(
-                COUNT_JOIN,
-                &CompileOptions::materialized(ExecutionMode::OptimHashJoin)
+                &count_join(),
+                &CompileOptions::mode(ExecutionMode::OptimHashJoin)
                     .limits(limits)
-                    .with_fallback(),
+                    .with_retry_without_spill(),
             )
             .unwrap();
         let r = p.run_to_string(&e).map_err(err_code);
         assert_eq!(r, Ok("800".to_string()));
         assert!(
             p.explain().contains("spilling failed"),
-            "explain() must report the spill fallback: {}",
+            "explain() must report the spill retry: {}",
             p.explain()
         );
     }
