@@ -40,9 +40,25 @@ fn collect_used(p: &Plan, out: &mut BTreeSet<Field>) {
     }
 }
 
-/// Infers the set of tuple fields this (table-producing) plan outputs.
-/// `None` means unknown (e.g. the plan is `IN` used as a table, whose
-/// fields depend on the enclosing context).
+/// Does this plan hand the whole `IN` tuple to a sub-plan (anything but
+/// `IN#q`)? Then [`used_input_fields`] under-reports what it reads: a
+/// dependent child of that sub-plan can access any field of the tuple.
+pub fn passes_whole_input(p: &Plan) -> bool {
+    match &p.op {
+        Op::Input => true,
+        Op::FieldAccess { input, .. } if matches!(input.op, Op::Input) => false,
+        op => op
+            .children()
+            .iter()
+            .any(|(c, kind)| *kind == ChildKind::Inherit && passes_whole_input(c)),
+    }
+}
+
+/// Infers the set of tuple fields this (table-producing) plan outputs —
+/// exactly, so callers may test disjointness as well as containment.
+/// `None` means unknown: the plan is `IN` used as a table (its fields
+/// depend on the enclosing context), or a conditional whose branches
+/// produce different fields.
 pub fn output_fields(p: &Plan) -> Option<BTreeSet<Field>> {
     match &p.op {
         Op::TupleTable => Some(BTreeSet::new()),
@@ -109,8 +125,7 @@ pub fn output_fields(p: &Plan) -> Option<BTreeSet<Field>> {
         Op::MapFromItem { dep, .. } => output_fields(dep),
         Op::Cond { then, els, .. } => {
             let ft = output_fields(then)?;
-            let fe = output_fields(els)?;
-            Some(ft.intersection(&fe).cloned().collect())
+            (output_fields(els)? == ft).then_some(ft)
         }
         // Item-producing operators have no tuple fields.
         _ => Some(BTreeSet::new()),
@@ -248,6 +263,33 @@ mod tests {
         let fields = output_fields(&join).unwrap();
         let names: Vec<&str> = fields.iter().map(|f| &**f).collect();
         assert_eq!(names, ["index", "null", "p", "t"]);
+    }
+
+    #[test]
+    fn whole_input_is_not_a_field_read() {
+        // IN#x reads one field; `IN` under a map hands the tuple on.
+        assert!(!passes_whole_input(&Plan::in_field("x")));
+        let p = Plan::new(Op::MapToItem {
+            dep: Box::new(Plan::in_field("hidden")),
+            input: Plan::boxed(Op::Input),
+        });
+        assert!(passes_whole_input(&p));
+        assert!(used_input_fields(&p).is_empty());
+    }
+
+    #[test]
+    fn conditional_fields_are_exact_or_unknown() {
+        let cond = |then: Plan, els: Plan| {
+            Plan::new(Op::Cond {
+                cond: Plan::boxed(Op::Scalar(AtomicValue::Boolean(true))),
+                then: Box::new(then),
+                els: Box::new(els),
+            })
+        };
+        let var = || Plan::new(Op::Var(xqr_xml::QName::local("v")));
+        let same = cond(mfi("a", var()), mfi("a", var()));
+        assert_eq!(output_fields(&same).map(|f| f.len()), Some(1));
+        assert_eq!(output_fields(&cond(mfi("a", var()), mfi("b", var()))), None);
     }
 
     #[test]

@@ -911,7 +911,7 @@ impl PreparedQuery {
     pub fn explain(&self) -> String {
         let base = match &self.plan {
             Some(m) => {
-                let ann = xqr_runtime::explain_annotations(&m.body);
+                let ann = xqr_runtime::explain_annotations(&m.body, self.mode.join_algorithm());
                 let plan = pretty::indented_annotated(&m.body, &ann);
                 format!(
                     "{plan}\nexecution: pipelined\n{}",

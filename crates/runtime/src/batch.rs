@@ -9,10 +9,12 @@
 //!
 //! * [`NlJoinKernel`] — a nested-loop join predicate
 //!   `op(outer_expr, inner_expr)` whose operands each read only one
-//!   side's fields. The inner operand is evaluated **once per inner row**
-//!   (memoized in predicate-argument order during the first probe, so the
-//!   first probe's evaluation order — and therefore the first dynamic
-//!   error — matches the scalar path exactly), and once the cache is
+//!   side's fields (a [`SidedComparison`], which the indexed join's
+//!   memoized residual conjuncts reuse). The inner operand is evaluated
+//!   **once per inner row** (memoized in predicate-argument order during
+//!   the first probe, so the first probe's evaluation order — and
+//!   therefore the first dynamic error — matches the scalar path
+//!   exactly), and once the cache is
 //!   complete and found type-uniform, subsequent probes compare through a
 //!   monomorphic `f64`/`i64` lane: the Table 2 promotion is resolved once
 //!   per batch instead of once per pair.
@@ -37,7 +39,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use xqr_core::algebra::{Op, Plan};
-use xqr_core::fields::{output_fields, used_input_fields};
 use xqr_core::fuse::{fusable_comparison, uses_input, ComparisonSplit};
 use xqr_types::convert::{comparable_types, convert_operand};
 use xqr_types::promote_numeric;
@@ -46,6 +47,7 @@ use xqr_xml::{AtomicType, AtomicValue, XmlError};
 use crate::compare::{atomize_optional, general_pair, value_compare, CmpOp};
 use crate::context::Ctx;
 use crate::eval::eval_dep_items;
+use crate::joins::split_by_side;
 use crate::profile::OpStats;
 use crate::value::{InputVal, Table, Tuple};
 
@@ -110,7 +112,11 @@ impl<'p> FusedOperand<'p> {
 
     /// The operand's atomized value for one tuple — same evaluation order
     /// and dynamic errors as the scalar `Call` path.
-    fn eval_atoms(&self, ctx: &mut Ctx<'_>, input: &InputVal) -> xqr_xml::Result<Vec<AtomicValue>> {
+    pub(crate) fn eval_atoms(
+        &self,
+        ctx: &mut Ctx<'_>,
+        input: &InputVal,
+    ) -> xqr_xml::Result<Vec<AtomicValue>> {
         match self {
             FusedOperand::Generic(p) => Ok(eval_dep_items(p, ctx, input)?.atomized()),
             FusedOperand::NumericBinary {
@@ -271,31 +277,28 @@ enum LaneVals {
     I64(Vec<Option<i64>>),
 }
 
-/// A fused nested-loop join predicate `op(a, b)` where one operand reads
-/// only outer fields and the other only inner fields.
-pub(crate) struct NlJoinKernel<'p> {
+/// A fusable comparison `op(a, b)` whose operands each read one join
+/// side — the shape the nested-loop kernel and the indexed probe's
+/// memoized residual conjuncts share. Either operand's atoms for a given
+/// tuple can be computed once and compared any number of times.
+pub(crate) struct SidedComparison<'p> {
     op: CmpOp,
     general: bool,
-    outer: FusedOperand<'p>,
-    inner: FusedOperand<'p>,
+    pub(crate) outer: FusedOperand<'p>,
+    pub(crate) inner: FusedOperand<'p>,
     /// Predicate arguments were `(inner, outer)` — the inner operand is
     /// the *first* argument and evaluates first within each pair.
-    swapped: bool,
-    stats: Option<Rc<OpStats>>,
-    cache: RefCell<JoinCache>,
+    pub(crate) swapped: bool,
 }
 
-impl<'p> NlJoinKernel<'p> {
-    /// Builds a kernel when the predicate has the fusable shape and its
-    /// operands separate cleanly by side. The outer operand must not
-    /// touch any inner field (tuple concatenation lets the right side
-    /// shadow the left).
+impl<'p> SidedComparison<'p> {
+    /// `Some` when the predicate has the fusable shape and
+    /// [`split_by_side`] separates its operands.
     pub(crate) fn build(
         pred: &'p Plan,
         left_plan: &Plan,
         right_plan: &Plan,
-        stats: Option<Rc<OpStats>>,
-    ) -> Option<NlJoinKernel<'p>> {
+    ) -> Option<SidedComparison<'p>> {
         let ComparisonSplit {
             suffix,
             general,
@@ -304,24 +307,48 @@ impl<'p> NlJoinKernel<'p> {
             ..
         } = fusable_comparison(pred)?;
         let op = CmpOp::by_suffix(suffix)?;
-        let lf = output_fields(left_plan)?;
-        let rf = output_fields(right_plan)?;
-        let a = used_input_fields(lhs);
-        let b = used_input_fields(rhs);
-        let (outer, inner, swapped) = if a.is_subset(&lf) && a.is_disjoint(&rf) && b.is_subset(&rf)
-        {
-            (lhs, rhs, false)
-        } else if b.is_subset(&lf) && b.is_disjoint(&rf) && a.is_subset(&rf) {
-            (rhs, lhs, true)
-        } else {
-            return None;
-        };
-        Some(NlJoinKernel {
+        let side = split_by_side(lhs, rhs, left_plan, right_plan)?;
+        Some(SidedComparison {
             op,
             general,
-            outer: FusedOperand::compile(outer),
-            inner: FusedOperand::compile(inner),
-            swapped,
+            outer: FusedOperand::compile(side.outer),
+            inner: FusedOperand::compile(side.inner),
+            swapped: side.swapped,
+        })
+    }
+
+    /// One predicate evaluation over the operands' atoms, in predicate
+    /// argument order.
+    pub(crate) fn holds(
+        &self,
+        outer: &[AtomicValue],
+        inner: &[AtomicValue],
+    ) -> xqr_xml::Result<bool> {
+        if self.swapped {
+            pair_predicate(self.op, self.general, inner, outer)
+        } else {
+            pair_predicate(self.op, self.general, outer, inner)
+        }
+    }
+}
+
+/// A fused nested-loop join predicate: a [`SidedComparison`] plus the
+/// per-open inner-operand cache and comparison lane.
+pub(crate) struct NlJoinKernel<'p> {
+    cmp: SidedComparison<'p>,
+    stats: Option<Rc<OpStats>>,
+    cache: RefCell<JoinCache>,
+}
+
+impl<'p> NlJoinKernel<'p> {
+    pub(crate) fn build(
+        pred: &'p Plan,
+        left_plan: &Plan,
+        right_plan: &Plan,
+        stats: Option<Rc<OpStats>>,
+    ) -> Option<NlJoinKernel<'p>> {
+        Some(NlJoinKernel {
+            cmp: SidedComparison::build(pred, left_plan, right_plan)?,
             stats,
             cache: RefCell::new(JoinCache {
                 rows: Vec::new(),
@@ -341,7 +368,7 @@ impl<'p> NlJoinKernel<'p> {
     ) -> xqr_xml::Result<()> {
         debug_assert_eq!(k, cache.filled, "inner rows fill in order");
         let input = InputVal::Tuple(right[k].clone());
-        cache.rows[k] = Some(self.inner.eval_atoms(ctx, &input)?);
+        cache.rows[k] = Some(self.cmp.inner.eval_atoms(ctx, &input)?);
         cache.filled = k + 1;
         Ok(())
     }
@@ -370,13 +397,16 @@ impl<'p> NlJoinKernel<'p> {
         // first. When the inner operand is the first argument, inner row
         // 0 must evaluate before the outer operand on the very first
         // probe.
-        if self.swapped && cache.filled == 0 {
+        if self.cmp.swapped && cache.filled == 0 {
             self.fill_row(cache, 0, right, ctx)?;
         }
-        let outer_atoms = self.outer.eval_atoms(ctx, &InputVal::Tuple(lt.clone()))?;
+        let outer_atoms = self
+            .cmp
+            .outer
+            .eval_atoms(ctx, &InputVal::Tuple(lt.clone()))?;
 
         let mut out = Vec::new();
-        if cache.filled == right.len() && self.general && outer_atoms.len() == 1 {
+        if cache.filled == right.len() && self.cmp.general && outer_atoms.len() == 1 {
             let tx = outer_atoms[0].type_of();
             if self.ensure_lane(cache, tx) {
                 let lane = cache.lane.as_ref().expect("lane just ensured");
@@ -395,12 +425,7 @@ impl<'p> NlJoinKernel<'p> {
                 self.fill_row(cache, k, right, ctx)?;
             }
             let row = cache.rows[k].as_ref().expect("filled");
-            let matched = if self.swapped {
-                pair_predicate(self.op, self.general, row, &outer_atoms)?
-            } else {
-                pair_predicate(self.op, self.general, &outer_atoms, row)?
-            };
-            if matched {
+            if self.cmp.holds(&outer_atoms, row)? {
                 out.push(lt.concat(&right[k]));
             }
         }
@@ -475,8 +500,8 @@ impl<'p> NlJoinKernel<'p> {
                 for (k, fy) in vals.iter().enumerate() {
                     ctx.governor.tick()?;
                     if let (Some(fx), Some(fy)) = (fx, *fy) {
-                        let (a, b) = if self.swapped { (fy, fx) } else { (fx, fy) };
-                        if f64_holds(self.op, a, b) {
+                        let (a, b) = if self.cmp.swapped { (fy, fx) } else { (fx, fy) };
+                        if f64_holds(self.cmp.op, a, b) {
                             out.push(lt.concat(&right[k]));
                         }
                     }
@@ -490,8 +515,8 @@ impl<'p> NlJoinKernel<'p> {
                 for (k, iy) in vals.iter().enumerate() {
                     ctx.governor.tick()?;
                     if let (Some(ix), Some(iy)) = (ix, *iy) {
-                        let (a, b) = if self.swapped { (iy, ix) } else { (ix, iy) };
-                        if i64_holds(self.op, a, b) {
+                        let (a, b) = if self.cmp.swapped { (iy, ix) } else { (ix, iy) };
+                        if i64_holds(self.cmp.op, a, b) {
                             out.push(lt.concat(&right[k]));
                         }
                     }

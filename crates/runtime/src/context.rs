@@ -53,6 +53,14 @@ pub struct Ctx<'a> {
     step_tests: std::cell::RefCell<
         HashMap<usize, std::rc::Rc<std::cell::RefCell<xqr_xml::axes::TestCache>>>,
     >,
+    /// Loop-invariant join inner sides, built once per run and shared by
+    /// later opens of the same join, keyed by the join's plan address.
+    /// Unlike `step_tests` an entry cannot verify its own site, so entries
+    /// are made and read only while no function frame is active: the
+    /// module body and the globals' plans keep their addresses for the
+    /// whole run, per-call function-body clones do not (and their inner
+    /// sides may read parameters, which vary between calls).
+    join_builds: HashMap<usize, std::rc::Rc<crate::joins::JoinBuild>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -73,7 +81,42 @@ impl<'a> Ctx<'a> {
             profiler: None,
             spill: None,
             step_tests: std::cell::RefCell::new(HashMap::new()),
+            join_builds: HashMap::new(),
         }
+    }
+
+    /// May this open of a join keep its build for later opens, or take
+    /// one that an earlier open kept? Not inside a function call (see
+    /// `join_builds`), and not past the spill watermark, where held
+    /// builds are memory the query is short of. Nor under a strict byte
+    /// budget (spilling off): an idle kept build stays reserved where a
+    /// per-open one was released when its cursor closed, and with no
+    /// spill path to fall back on that reservation could fail a query
+    /// that fits when every open builds.
+    pub(crate) fn can_share_join_builds(&self) -> bool {
+        let strict = self.governor.has_byte_budget() && !self.governor.spill_enabled();
+        self.frames.is_empty() && !self.governor.should_spill() && !strict
+    }
+
+    pub(crate) fn shared_join_build(
+        &self,
+        join: &xqr_core::algebra::Plan,
+    ) -> Option<std::rc::Rc<crate::joins::JoinBuild>> {
+        self.join_builds.get(&(join as *const _ as usize)).cloned()
+    }
+
+    pub(crate) fn share_join_build(
+        &mut self,
+        join: &xqr_core::algebra::Plan,
+        build: std::rc::Rc<crate::joins::JoinBuild>,
+    ) {
+        self.join_builds.insert(join as *const _ as usize, build);
+    }
+
+    /// Releases every kept build (their byte charges return to the
+    /// governor once the cursors still probing them finish).
+    pub(crate) fn drop_join_builds(&mut self) {
+        self.join_builds.clear();
     }
 
     /// The compiled-test cache for a `TreeJoin` step site, creating it on

@@ -26,8 +26,11 @@ use crate::value::{InputVal, Table, Tuple, Value};
 /// (already in `ctx.globals`) wins and is checked against the declared
 /// type; otherwise the compiled default plan runs; otherwise `XPDY0002`.
 pub fn eval_module(ctx: &mut Ctx<'_>) -> xqr_xml::Result<Sequence> {
-    let globals: Vec<xqr_core::CompiledGlobal> = ctx.module.globals.clone();
-    for g in globals {
+    // Globals run from the module's own plans (not per-run clones), so
+    // their nodes keep one address all run: `Ctx::shared_join_build` keys
+    // on it.
+    let module = ctx.module;
+    for g in &module.globals {
         if g.external {
             if let Some(bound) = ctx.globals.get(&g.name) {
                 if let Some(st) = &g.as_type {
@@ -51,10 +54,10 @@ pub fn eval_module(ctx: &mut Ctx<'_>) -> xqr_xml::Result<Sequence> {
                 ));
             };
             let v = eval_plan(p, ctx)?;
-            ctx.globals.insert(g.name, v);
+            ctx.globals.insert(g.name.clone(), v);
         } else if let Some(p) = &g.plan {
             let v = eval_plan(p, ctx)?;
-            ctx.globals.insert(g.name, v);
+            ctx.globals.insert(g.name.clone(), v);
         }
     }
     let body = ctx.module.body.clone();
@@ -137,16 +140,23 @@ pub(crate) fn eval_table(
 }
 
 /// Is this operator recorded by [`eval`]? The breakers, path steps, the
-/// tuples-to-items boundaries, and calls — the nodes evaluated here where
-/// cardinality and time attribution is meaningful. The streaming tuple
-/// operators are absent: their cursor's `ProfiledCursor` is their only
-/// recorder. Leaf scalar/variable/constructor plans stay out too: they
-/// evaluate per tuple inside dependent sub-plans, where wrapping each
-/// `eval` would cost more than the work being measured.
+/// tuples-to-items boundaries, calls and node constructors — the nodes
+/// evaluated here where cardinality and time attribution is meaningful (a
+/// constructor's self time is its finish-then-copy of the content). The
+/// streaming tuple operators are absent: their cursor's `ProfiledCursor`
+/// is their only recorder. Leaf scalar/variable/field plans stay out too:
+/// they evaluate per tuple inside dependent sub-plans, where wrapping
+/// each `eval` would cost more than the work being measured.
 fn profiled_op(op: &Op) -> bool {
     matches!(
         op,
-        Op::MapToItem { .. }
+        Op::Element { .. }
+            | Op::Attribute { .. }
+            | Op::Text(_)
+            | Op::DocumentNode(_)
+            | Op::Comment(_)
+            | Op::Pi { .. }
+            | Op::MapToItem { .. }
             | Op::MapSome { .. }
             | Op::MapEvery { .. }
             | Op::OrderBy { .. }

@@ -262,10 +262,18 @@ fn open_join<'p>(
     // partitions), the Grace join produces the full output, and the cursor
     // replays it. The result's footprint stays charged until the cursor
     // drops.
-    if ctx.governor.should_spill() && !matches!(ctx.join_algorithm, JoinAlgorithm::NestedLoop) {
-        if let Some(split) = crate::joins::analyze_predicate(pred, left, right) {
+    if ctx.governor.should_spill() {
+        ctx.drop_join_builds();
+        let split = match ctx.join_algorithm {
+            JoinAlgorithm::NestedLoop => None,
+            _ => crate::joins::analyze_predicate(pred, left, right, false),
+        };
+        if let Some(split) = split {
             let left_table = eval_table(left, ctx, input)?;
             let right_table = eval_table(right, ctx, input)?;
+            if let Some(s) = &stats {
+                s.record_build();
+            }
             let out = crate::spill::grace_join(
                 &split,
                 &left_table,
@@ -284,18 +292,37 @@ fn open_join<'p>(
             }));
         }
     }
-    let t0 = stats.as_ref().map(|_| std::time::Instant::now());
-    let right_table = eval_table(right, ctx, input)?;
-    let probe = JoinProbe::build(pred, left, right, &right_table, ctx)?;
-    if let (Some(s), Some(t0)) = (&stats, t0) {
-        // Build phase: inner-side materialization plus probe-index
-        // construction (the inner side's own operators also record their
-        // share separately).
-        s.add_build_nanos(t0.elapsed().as_nanos() as u64);
-    }
+    // A loop-invariant inner side is built by the first open and shared
+    // by the rest (a correlated join under a per-partition plan opens
+    // once per partition). Only a join with an `IN` in scope can open
+    // again; a top-level one keeps nothing past its cursor.
+    let shared =
+        input.is_some() && ctx.can_share_join_builds() && crate::joins::inner_side_invariant(right);
+    let profiler = &ctx.profiler;
+    let stats_for = |p: &Plan| profiler.as_ref().and_then(|prof| prof.stats_for(p));
+    let probe = JoinProbe::plan(pred, left, right, shared, ctx.join_algorithm, &stats_for);
+    let build = match shared.then(|| ctx.shared_join_build(plan)).flatten() {
+        Some(build) => build,
+        None => {
+            let t0 = stats.as_ref().map(|_| std::time::Instant::now());
+            let right_table = eval_table(right, ctx, input)?;
+            let build = std::rc::Rc::new(probe.build(right_table, ctx)?);
+            if let (Some(s), Some(t0)) = (&stats, t0) {
+                // Build phase: inner-side materialization plus probe-index
+                // construction (the inner side's own operators also record
+                // their share separately).
+                s.add_build_nanos(t0.elapsed().as_nanos() as u64);
+                s.record_build();
+            }
+            if shared {
+                ctx.share_join_build(plan, build.clone());
+            }
+            build
+        }
+    };
     Ok(Box::new(JoinCursor {
         left: open_cursor(left, ctx, input)?,
-        right: right_table,
+        build,
         probe,
         outer_null,
         pending: Vec::new().into_iter(),
@@ -938,10 +965,11 @@ impl<'p> ItemCursor<'p> for TreeJoinItemCursor<'p> {
     }
 }
 
-/// `Join` / `LOuterJoin` — probes the prebuilt index with each outer tuple.
+/// `Join` / `LOuterJoin` — probes the build (its own, or one shared with
+/// the join's other opens) with each outer tuple.
 struct JoinCursor<'p> {
     left: BoxCursor<'p>,
-    right: Table,
+    build: std::rc::Rc<crate::joins::JoinBuild>,
     probe: JoinProbe<'p>,
     outer_null: Option<&'p Field>,
     pending: std::vec::IntoIter<Tuple>,
@@ -966,7 +994,7 @@ impl<'p> TupleCursor<'p> for JoinCursor<'p> {
                 Ok(t) => t,
                 Err(e) => return Some(Err(e)),
             };
-            let ms = match self.probe.matches(&lt, &self.right, ctx) {
+            let ms = match self.probe.matches(&lt, &self.build, ctx) {
                 Ok(ms) => ms,
                 Err(e) => return Some(Err(e)),
             };
@@ -1003,7 +1031,7 @@ impl<'p> TupleCursor<'p> for JoinCursor<'p> {
                 return Ok(false);
             };
             let lt = lt?;
-            let ms = self.probe.matches(&lt, &self.right, ctx)?;
+            let ms = self.probe.matches(&lt, &self.build, ctx)?;
             ctx.governor.charge_tuples(ms.len().max(1) as u64)?;
             match self.outer_null {
                 Some(nf) if ms.is_empty() => out.push(lt.with_bool(nf.clone(), true)),
@@ -1075,21 +1103,24 @@ pub fn pipeline_report(plan: &Plan) -> String {
 /// same annotation mechanism `explain_analyze()` uses, so the static and
 /// measured renderings share one plan-tree shape instead of ad-hoc
 /// appended notes.
-pub fn explain_annotations(plan: &Plan) -> Vec<Option<String>> {
-    fn walk(p: &Plan, out: &mut Vec<Option<String>>) {
+pub fn explain_annotations(plan: &Plan, algo: JoinAlgorithm) -> Vec<Option<String>> {
+    // `dependent`: an `IN` is in scope here (some ancestor rebinds it).
+    fn walk(p: &Plan, algo: JoinAlgorithm, dependent: bool, out: &mut Vec<Option<String>>) {
         let note = match &p.op {
             Op::Cond { .. } => None,
             Op::TreeJoin { .. } if treejoin_fuses(p) => {
                 Some("streams (fused step chain)".to_string())
             }
             Op::TreeJoin { .. } => None,
-            Op::Join { pred, .. } | Op::LOuterJoin { pred, .. } => {
-                let mut s = "streams probe side; inner side materializes for the build".to_string();
-                if xqr_core::fuse::fusable_comparison(pred).is_some() {
-                    s.push_str("; batched comparison kernel candidate");
-                }
-                Some(s)
+            Op::Join {
+                pred, left, right, ..
             }
+            | Op::LOuterJoin {
+                pred, left, right, ..
+            } => Some(format!(
+                "streams probe side; {}",
+                crate::joins::describe(pred, left, right, algo, dependent)
+            )),
             Op::Product(..) => {
                 Some("streams probe side; inner side materializes for the build".to_string())
             }
@@ -1103,11 +1134,12 @@ pub fn explain_annotations(plan: &Plan) -> Vec<Option<String>> {
             _ => None,
         };
         out.push(note);
-        for (c, _) in p.op.children() {
-            walk(c, out);
+        for (c, kind) in p.op.children() {
+            let rebinds = kind == xqr_core::algebra::ChildKind::Rebinds;
+            walk(c, algo, dependent || rebinds, out);
         }
     }
     let mut out = Vec::new();
-    walk(plan, &mut out);
+    walk(plan, algo, false, &mut out);
     out
 }

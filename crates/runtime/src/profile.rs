@@ -62,6 +62,7 @@ pub struct OpStats {
     rows: Cell<u64>,
     calls: Cell<u64>,
     opens: Cell<u64>,
+    builds: Cell<u64>,
     sampled_nanos: Cell<u64>,
     sampled_units: Cell<u64>,
     exact_nanos: Cell<u64>,
@@ -121,6 +122,12 @@ impl OpStats {
 
     pub fn record_open(&self) {
         self.opens.set(self.opens.get() + 1);
+    }
+
+    /// One join build: the inner side materialized (and indexed). Fewer
+    /// than `opens` when a loop-invariant build is shared between opens.
+    pub fn record_build(&self) {
+        self.builds.set(self.builds.get() + 1);
     }
 
     pub fn record_peak_bytes(&self, b: u64) {
@@ -363,12 +370,13 @@ fn build_node(nodes: &[NodeEntry], id: u32, limit: u64) -> ProfileNode {
         .iter()
         .map(|&c| build_node(nodes, c, limit))
         .collect();
-    let child_sum: u64 = children.iter().map(|c| c.nanos).sum();
+    let child_sum: u64 = children.iter().map(recorded_nanos).sum();
     ProfileNode {
         label: e.label.clone(),
         rows: e.stats.rows.get(),
         calls: e.stats.calls.get(),
         opens: e.stats.opens.get(),
+        builds: e.stats.builds.get(),
         nanos: inclusive,
         exclusive_nanos: inclusive.saturating_sub(child_sum),
         build_nanos: e.stats.build_nanos.get(),
@@ -386,6 +394,18 @@ fn build_node(nodes: &[NodeEntry], id: u32, limit: u64) -> ProfileNode {
     }
 }
 
+/// The time the recorded operators at or below `n` account for: a node
+/// nothing timed (`Sequence`, a field access, a predicate run by a
+/// kernel) passes its children's time up, so the nearest recorded
+/// ancestor's self time is its own work and not theirs again.
+fn recorded_nanos(n: &ProfileNode) -> u64 {
+    if n.nanos > 0 {
+        n.nanos
+    } else {
+        n.children.iter().map(recorded_nanos).sum()
+    }
+}
+
 /// One node of a frozen profile; mirrors the plan tree node-for-node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfileNode {
@@ -393,12 +413,14 @@ pub struct ProfileNode {
     pub rows: u64,
     pub calls: u64,
     pub opens: u64,
+    /// Join builds (inner side materialized and indexed); 0 on non-joins.
+    pub builds: u64,
     /// Estimated inclusive time (this operator and everything beneath it
     /// that ran while it was on stack).
     pub nanos: u64,
-    /// Inclusive minus the children's inclusive estimates (saturating:
-    /// independent sampling can make a child's estimate exceed its
-    /// parent's).
+    /// Inclusive minus the inclusive estimates of the nearest recorded
+    /// operators below (saturating: independent sampling can make a
+    /// child's estimate exceed its parent's).
     pub exclusive_nanos: u64,
     pub build_nanos: u64,
     pub peak_bytes: u64,
@@ -450,6 +472,9 @@ impl ProfileNode {
         if self.opens > 0 {
             s.push_str(&format!(" opens={}", self.opens));
         }
+        if self.builds > 0 {
+            s.push_str(&format!(" builds={}", self.builds));
+        }
         if self.build_nanos > 0 {
             s.push_str(&format!(" build={}", fmt_nanos(self.build_nanos)));
         }
@@ -487,7 +512,7 @@ impl ProfileNode {
         use std::fmt::Write as _;
         let _ = write!(
             out,
-            "{{\"label\":\"{}\",\"rows\":{},\"calls\":{},\"opens\":{},\"nanos\":{},\
+            "{{\"label\":\"{}\",\"rows\":{},\"calls\":{},\"opens\":{},\"builds\":{},\"nanos\":{},\
              \"exclusive_nanos\":{},\"build_nanos\":{},\"peak_bytes\":{},\"partitions\":{},\
              \"kernel_dispatches\":{},\"spilled_bytes\":{},\"spill_partitions\":{},\
              \"spill_merge_passes\":{},\"batches\":{},\"fused_rows\":{},\
@@ -496,6 +521,7 @@ impl ProfileNode {
             self.rows,
             self.calls,
             self.opens,
+            self.builds,
             self.nanos,
             self.exclusive_nanos,
             self.build_nanos,

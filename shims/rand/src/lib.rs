@@ -119,7 +119,7 @@ mod tests {
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
         for _ in 0..100 {
-            assert_eq!(a.gen_range(0..1000), b.gen_range(0..1000i64));
+            assert_eq!(a.gen_range(0..1000i64), b.gen_range(0..1000i64));
         }
     }
 

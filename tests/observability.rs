@@ -467,7 +467,10 @@ fn limit_errors_are_counted_by_code() {
 #[test]
 fn xmark_profiles_sum_to_wall_clock() {
     let e = xmark_engine();
-    for n in [6, 7, 14] {
+    // Q9 and Q10 are the constructor-heavy ones: every `Element[...]` under
+    // their `GroupBy`s is a recorded node, and recording them must not
+    // break the telescoping below.
+    for n in [6, 7, 9, 10, 14] {
         let opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
         let prepared = e.prepare(query(n), &opts).unwrap();
         let result = prepared.run(&e).unwrap();
@@ -495,5 +498,13 @@ fn xmark_profiles_sum_to_wall_clock() {
         );
         let rendered = prepared.explain_analyze();
         assert!(rendered.contains("rows="), "Q{n}: {rendered}");
+        if n == 9 || n == 10 {
+            let mut elements = Vec::new();
+            recorded(root, "Element[", &mut elements);
+            assert!(
+                !elements.is_empty() && elements.iter().all(|&(rows, _)| rows > 0),
+                "Q{n}: constructors must carry profile lines: {rendered}"
+            );
+        }
     }
 }

@@ -256,6 +256,51 @@ fn disabling_spill_restores_the_hard_byte_budget() {
     );
 }
 
+/// XMark Q9 — a correlated join whose inner side is built once and kept
+/// for the run — under a budget it crosses (8 KB) and the CI gate's
+/// (256 KB). Spilling on: when the watermark flips the kept build is
+/// dropped and later opens go out of core; the bytes are the unbudgeted
+/// run's. Spilling off: a strict budget keeps no build, so reservations
+/// follow the per-open pattern and the outcome is pinned to what it was
+/// when every open rebuilt — the hard-budget code at 8 KB, a fit at
+/// 256 KB. Either way the scoped spill directory is gone afterwards.
+#[test]
+fn q9_kept_build_under_tight_budgets() {
+    let _l = lock();
+    let e = xmark_engine(120_000);
+    let dir = scratch_dir("q9");
+    let before = e.metrics_snapshot().queries_spilled;
+    for mode in [ExecutionMode::OptimHashJoin, ExecutionMode::OptimSortJoin] {
+        let expected = outcome(
+            &e,
+            query(9),
+            &CompileOptions::mode(mode).limits(Limits::none()),
+        );
+        assert!(expected.is_ok(), "{expected:?}");
+        for kb in [8, 256] {
+            let budget = Limits::none()
+                .with_max_bytes(kb * 1024)
+                .with_spill_dir(dir.clone());
+            let strict = budget.clone().with_spill(None);
+            let spilling = outcome(&e, query(9), &CompileOptions::mode(mode).limits(budget));
+            assert_eq!(spilling, expected, "{mode:?} {kb} KB: spilling on");
+            let hard = outcome(&e, query(9), &CompileOptions::mode(mode).limits(strict));
+            let pinned = if kb == 8 {
+                Err("XQRG0004".to_string())
+            } else {
+                expected.clone()
+            };
+            assert_eq!(hard, pinned, "{mode:?} {kb} KB: spilling off");
+            assert_eq!(entries(&dir), 0, "{mode:?} {kb} KB: spill dir not emptied");
+        }
+    }
+    assert!(
+        e.metrics_snapshot().queries_spilled > before,
+        "the 8 KB runs must cross the watermark for this test to mean anything"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn disk_budget_exhaustion_is_xqrg0006() {
     let _l = lock();
@@ -506,6 +551,22 @@ mod failpoints {
         assert_eq!(r, Err("XQRG0005".to_string()));
         let after = e.metrics_snapshot().failpoint_trips;
         assert!(after >= before + 3, "each failed attempt trips the site");
+    }
+
+    /// The join build's charge site fires whether the build is kept for
+    /// the run (Q9's inner join) or made per open.
+    #[test]
+    fn join_build_charge_failpoint_fires_on_a_kept_build() {
+        let _l = lock();
+        failpoint::clear();
+        let e = xmark_engine(60_000);
+        let _g = FailGuard::new("join::build_charge", "err(1)").unwrap();
+        let r = outcome(
+            &e,
+            query(9),
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(Limits::none()),
+        );
+        assert_eq!(r, Err(failpoint::ERR_INJECTED.to_string()));
     }
 
     #[test]
