@@ -68,8 +68,8 @@ pub use xqr_xml::{CancellationToken, Limits, MetricsSnapshot, RetryPolicy};
 pub use breaker::{BreakerConfig, CircuitBreakers};
 pub use doccache::DocTextCache;
 pub use observe::{
-    LifecyclePhase, MetricsServer, ObserveConfig, ObserveReport, PhaseLatency, QueryTimeline,
-    ShapeStats, LIFECYCLE_PHASES,
+    LifecyclePhase, ObserveConfig, ObserveReport, PhaseLatency, QueryTimeline, ShapeStats,
+    LIFECYCLE_PHASES,
 };
 pub use plancache::{PlanCache, PlanCacheConfig};
 pub use server::{QueryServer, ServerConfig, ServerDrainReport, WatchdogConfig};
@@ -427,11 +427,6 @@ impl Engine {
         }
     }
 
-    /// Process-wide engine metrics, rendered as aligned text.
-    pub fn metrics_text(&self) -> String {
-        metrics().snapshot().dump_text()
-    }
-
     /// Process-wide engine metrics as JSON.
     pub fn metrics_json(&self) -> String {
         metrics().snapshot().dump_json()
@@ -443,8 +438,8 @@ impl Engine {
     }
 
     /// Process-wide engine metrics in Prometheus text exposition format
-    /// (counters, per-reason/per-code label series, and the query duration
-    /// histogram in cumulative bucket form).
+    /// (counters, failures per error code, and the query duration
+    /// summary).
     pub fn metrics_prometheus(&self) -> String {
         metrics().snapshot().prometheus_text()
     }

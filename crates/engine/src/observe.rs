@@ -22,21 +22,19 @@
 //!   [`ObserveConfig::slow_query`] (or that were sampled in via
 //!   [`ObserveConfig::sample_every`]).
 //!
-//! Everything is snapshotted by [`ObserveReport`], rendered as JSON or
-//! Prometheus-style text, and served over a minimal blocking HTTP
-//! listener ([`MetricsServer`], started by
-//! `QueryService::serve_metrics`). Recording is a handful of relaxed
-//! atomics plus one short mutex hold per *completed query* — nothing
-//! touches the per-tuple path — so the layer stays on by default
-//! (measured ≤ 2% service throughput overhead; see `benches/observe.rs`).
+//! Everything is snapshotted by [`ObserveReport`] and rendered as JSON or
+//! Prometheus text; [`crate::server::QueryServer`] serves both at
+//! `/observe.json` and `/metrics`. Every latency series goes through
+//! [`HistogramSnapshot::write_prometheus`], the writer the process-wide
+//! registry uses too. Recording is a handful of atomics plus one short
+//! mutex hold per *completed query* — nothing touches the per-tuple path
+//! — so the layer stays on by default; the benchmark of record prices it
+//! per request as `serve-hot`'s `service.observe_us`.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, SystemTime};
 
 use xqr_xml::metrics::{json_escape, HistogramSnapshot, LatencyHistogram, ShedReason};
 
@@ -212,45 +210,19 @@ impl QueryTimeline {
     }
 }
 
-/// Latency summary of one lifecycle phase.
+/// Latency histogram of one lifecycle phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseLatency {
     pub phase: &'static str,
-    pub count: u64,
-    pub p50_nanos: u64,
-    pub p95_nanos: u64,
-    pub p99_nanos: u64,
-    pub max_nanos: u64,
-    pub mean_nanos: u64,
-    pub sum_nanos: u64,
+    pub latency: HistogramSnapshot,
 }
 
 impl PhaseLatency {
-    fn from_snapshot(phase: &'static str, s: &HistogramSnapshot) -> PhaseLatency {
-        PhaseLatency {
-            phase,
-            count: s.count,
-            p50_nanos: s.quantile(0.50),
-            p95_nanos: s.quantile(0.95),
-            p99_nanos: s.quantile(0.99),
-            max_nanos: s.max,
-            mean_nanos: s.mean(),
-            sum_nanos: s.sum,
-        }
-    }
-
     fn to_json(&self) -> String {
         format!(
-            "{{\"phase\":\"{}\",\"count\":{},\"p50_nanos\":{},\"p95_nanos\":{},\
-             \"p99_nanos\":{},\"max_nanos\":{},\"mean_nanos\":{},\"sum_nanos\":{}}}",
+            "{{\"phase\":\"{}\",{}}}",
             self.phase,
-            self.count,
-            self.p50_nanos,
-            self.p95_nanos,
-            self.p99_nanos,
-            self.max_nanos,
-            self.mean_nanos,
-            self.sum_nanos
+            self.latency.json_members()
         )
     }
 }
@@ -267,11 +239,8 @@ pub struct ShapeStats {
     pub cache_hits: u64,
     pub spills: u64,
     pub fallbacks: u64,
-    pub p50_nanos: u64,
-    pub p95_nanos: u64,
-    pub p99_nanos: u64,
-    pub max_nanos: u64,
-    pub sum_nanos: u64,
+    /// Worker-side (prepare + execute + serialize) latency.
+    pub latency: HistogramSnapshot,
     /// Breaker state for this shape: `"closed"`, `"open"`, `"half-open"`.
     pub breaker: &'static str,
     /// Most recent error code recorded for this shape.
@@ -284,8 +253,7 @@ impl ShapeStats {
     fn to_json(&self) -> String {
         format!(
             "{{\"plan_hash\":\"{:016x}\",\"invocations\":{},\"errors\":{},\"rows\":{},\
-             \"cache_hits\":{},\"spills\":{},\"fallbacks\":{},\"p50_nanos\":{},\
-             \"p95_nanos\":{},\"p99_nanos\":{},\"max_nanos\":{},\"sum_nanos\":{},\
+             \"cache_hits\":{},\"spills\":{},\"fallbacks\":{},{},\
              \"breaker\":\"{}\",\"last_error\":{},\"example_query\":\"{}\"}}",
             self.plan_hash,
             self.invocations,
@@ -294,11 +262,7 @@ impl ShapeStats {
             self.cache_hits,
             self.spills,
             self.fallbacks,
-            self.p50_nanos,
-            self.p95_nanos,
-            self.p99_nanos,
-            self.max_nanos,
-            self.sum_nanos,
+            self.latency.json_members(),
             self.breaker,
             match &self.last_error {
                 Some(e) => format!("\"{}\"", json_escape(e)),
@@ -388,9 +352,9 @@ impl ObserveReport {
         s
     }
 
-    /// Service-local Prometheus-style series (summary form with
-    /// `quantile` labels for the phase and shape histograms), appended to
-    /// the process-wide exposition by `QueryService::prometheus_text`.
+    /// Service-local Prometheus series (the phase and shape histograms in
+    /// summary form), appended to the process-wide exposition by
+    /// `QueryService::prometheus_text`.
     pub fn prometheus_text(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -420,22 +384,10 @@ impl ObserveReport {
         );
         let _ = writeln!(s, "# TYPE xqr_service_phase_latency_seconds summary");
         for p in &self.phases {
-            for (q, v) in [(0.5, p.p50_nanos), (0.95, p.p95_nanos), (0.99, p.p99_nanos)] {
-                let _ = writeln!(
-                    s,
-                    "xqr_service_phase_latency_seconds{{phase=\"{}\",quantile=\"{q}\"}} {:.9}",
-                    p.phase,
-                    v as f64 / 1e9
-                );
-            }
-            let _ = writeln!(
-                s,
-                "xqr_service_phase_latency_seconds_sum{{phase=\"{}\"}} {:.9}\n\
-                 xqr_service_phase_latency_seconds_count{{phase=\"{}\"}} {}",
-                p.phase,
-                p.sum_nanos as f64 / 1e9,
-                p.phase,
-                p.count
+            p.latency.write_prometheus(
+                &mut s,
+                "xqr_service_phase_latency_seconds",
+                &format!("phase=\"{}\"", p.phase),
             );
         }
         let _ = writeln!(s, "# TYPE xqr_service_shape_invocations_total counter");
@@ -448,18 +400,11 @@ impl ObserveReport {
         }
         let _ = writeln!(s, "# TYPE xqr_service_shape_latency_seconds summary");
         for sh in &self.shapes {
-            for (q, v) in [
-                (0.5, sh.p50_nanos),
-                (0.95, sh.p95_nanos),
-                (0.99, sh.p99_nanos),
-            ] {
-                let _ = writeln!(
-                    s,
-                    "xqr_service_shape_latency_seconds{{plan=\"{:016x}\",quantile=\"{q}\"}} {:.9}",
-                    sh.plan_hash,
-                    v as f64 / 1e9
-                );
-            }
+            sh.latency.write_prometheus(
+                &mut s,
+                "xqr_service_shape_latency_seconds",
+                &format!("plan=\"{:016x}\"", sh.plan_hash),
+            );
         }
         s
     }
@@ -499,15 +444,16 @@ impl ObserveReport {
             "phase        count        p50        p95        p99        max"
         );
         for p in &self.phases {
+            let h = &p.latency;
             let _ = writeln!(
                 s,
                 "{:<10} {:>7} {:>9.3}ms {:>9.3}ms {:>9.3}ms {:>9.3}ms",
                 p.phase,
-                p.count,
-                ms(p.p50_nanos),
-                ms(p.p95_nanos),
-                ms(p.p99_nanos),
-                ms(p.max_nanos)
+                h.count,
+                ms(h.quantile(0.50)),
+                ms(h.quantile(0.95)),
+                ms(h.quantile(0.99)),
+                ms(h.max)
             );
         }
         for sh in &self.shapes {
@@ -522,8 +468,8 @@ impl ObserveReport {
                 sh.cache_hits,
                 sh.spills,
                 sh.fallbacks,
-                ms(sh.p50_nanos),
-                ms(sh.p99_nanos),
+                ms(sh.latency.quantile(0.50)),
+                ms(sh.latency.quantile(0.99)),
                 sh.breaker,
                 sh.example_query
             );
@@ -601,6 +547,8 @@ impl ServiceObservability {
         q[..end].to_string()
     }
 
+    /// Counts one admission. The service calls this under its queue lock,
+    /// before the job is pushed, so no worker can complete the job first.
     pub(crate) fn record_admitted(&self) {
         if self.cfg.enabled {
             self.admitted.fetch_add(1, Ordering::Relaxed);
@@ -634,10 +582,12 @@ impl ServiceObservability {
         if !self.cfg.enabled {
             return;
         }
+        // `Release`: a report that sees this completion also sees the
+        // admission that preceded it (see `report`).
         if tl.error.is_none() {
-            self.completed_ok.fetch_add(1, Ordering::Relaxed);
+            self.completed_ok.fetch_add(1, Ordering::Release);
         } else {
-            self.completed_err.fetch_add(1, Ordering::Relaxed);
+            self.completed_err.fetch_add(1, Ordering::Release);
         }
         self.hist[LifecyclePhase::Queue.index()].record(tl.queue_nanos);
         self.hist[LifecyclePhase::Total.index()].record(tl.total_nanos);
@@ -702,34 +652,26 @@ impl ServiceObservability {
     }
 
     /// Freezes the layer's state (gauges and breaker states are filled in
-    /// by the service).
+    /// by the service). Reads shapes, then completions, then `admitted`:
+    /// every completion is counted before its shape row and after its
+    /// admission, so the snapshot satisfies `invocations ≤ completed ≤
+    /// admitted` however it interleaves with running queries.
     pub(crate) fn report(&self) -> ObserveReport {
-        let shed_queue_full = self.shed_queue_full.load(Ordering::Relaxed);
-        let shed_reservation = self.shed_reservation.load(Ordering::Relaxed);
-        let shed_deadline = self.shed_deadline.load(Ordering::Relaxed);
-        let shed_shutdown = self.shed_shutdown.load(Ordering::Relaxed);
         let mut shapes: Vec<ShapeStats> = {
             let map = self.shapes.lock().unwrap_or_else(|p| p.into_inner());
             map.iter()
-                .map(|(&hash, acc)| {
-                    let h = acc.hist.snapshot();
-                    ShapeStats {
-                        plan_hash: hash,
-                        invocations: acc.invocations,
-                        errors: acc.errors,
-                        rows: acc.rows,
-                        cache_hits: acc.cache_hits,
-                        spills: acc.spills,
-                        fallbacks: acc.fallbacks,
-                        p50_nanos: h.quantile(0.50),
-                        p95_nanos: h.quantile(0.95),
-                        p99_nanos: h.quantile(0.99),
-                        max_nanos: h.max,
-                        sum_nanos: h.sum,
-                        breaker: "closed",
-                        last_error: acc.last_error.clone(),
-                        example_query: acc.example_query.clone(),
-                    }
+                .map(|(&hash, acc)| ShapeStats {
+                    plan_hash: hash,
+                    invocations: acc.invocations,
+                    errors: acc.errors,
+                    rows: acc.rows,
+                    cache_hits: acc.cache_hits,
+                    spills: acc.spills,
+                    fallbacks: acc.fallbacks,
+                    latency: acc.hist.snapshot(),
+                    breaker: "closed",
+                    last_error: acc.last_error.clone(),
+                    example_query: acc.example_query.clone(),
                 })
                 .collect()
         };
@@ -738,15 +680,22 @@ impl ServiceObservability {
                 .cmp(&a.invocations)
                 .then(a.plan_hash.cmp(&b.plan_hash))
         });
+        let completed_ok = self.completed_ok.load(Ordering::Acquire);
+        let completed_err = self.completed_err.load(Ordering::Acquire);
+        let admitted = self.admitted.load(Ordering::Relaxed);
+        let shed_queue_full = self.shed_queue_full.load(Ordering::Relaxed);
+        let shed_reservation = self.shed_reservation.load(Ordering::Relaxed);
+        let shed_deadline = self.shed_deadline.load(Ordering::Relaxed);
+        let shed_shutdown = self.shed_shutdown.load(Ordering::Relaxed);
         ObserveReport {
-            admitted: self.admitted.load(Ordering::Relaxed),
+            admitted,
             shed: shed_queue_full + shed_reservation + shed_deadline + shed_shutdown,
             shed_queue_full,
             shed_reservation,
             shed_deadline,
             shed_shutdown,
-            completed_ok: self.completed_ok.load(Ordering::Relaxed),
-            completed_err: self.completed_err.load(Ordering::Relaxed),
+            completed_ok,
+            completed_err,
             shapes_dropped: self.shapes_dropped.load(Ordering::Relaxed),
             queue_depth: 0,
             reserved_bytes: 0,
@@ -755,7 +704,10 @@ impl ServiceObservability {
             open_breakers: 0,
             phases: LIFECYCLE_PHASES
                 .iter()
-                .map(|p| PhaseLatency::from_snapshot(p.label(), &self.hist[p.index()].snapshot()))
+                .map(|p| PhaseLatency {
+                    phase: p.label(),
+                    latency: self.hist[p.index()].snapshot(),
+                })
                 .collect(),
             shapes,
             journal: self
@@ -782,243 +734,6 @@ pub(crate) fn unix_ms() -> u64 {
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
-}
-
-// ===== scrape endpoint =====================================================
-
-/// Handle to a running scrape listener (started by
-/// `QueryService::serve_metrics`). Dropping it stops the listener thread.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the listener and joins its thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Hard ceiling on the bytes of request line + headers the scrape
-/// listener reads before answering `431`.
-pub(crate) const MAX_SCRAPE_HEAD_BYTES: usize = 8192;
-/// Total wall-clock budget for receiving one request head. A client that
-/// dribbles bytes (slow-loris) keeps each individual read under the
-/// socket timeout but cannot stretch the head past this.
-const SCRAPE_HEAD_DEADLINE: Duration = Duration::from_secs(2);
-/// Concurrent scrape connections served at once; extras get a fast 503.
-const MAX_SCRAPE_CONNS: usize = 16;
-
-/// Starts a minimal blocking HTTP/1.1 listener serving GET requests
-/// through `router` (path → `(status, content type, body)`; `None` →
-/// 404). One request per connection, bounded head size, per-read *and*
-/// whole-head deadlines, no keep-alive — a scrape surface, not a web
-/// server. Each connection is served on its own short-lived thread
-/// (capped at [`MAX_SCRAPE_CONNS`]) so one stalled scraper cannot pin
-/// the accept loop.
-pub(crate) fn serve(
-    addr: impl ToSocketAddrs,
-    router: impl Fn(&str) -> Option<(u16, &'static str, String)> + Send + Sync + 'static,
-) -> std::io::Result<MetricsServer> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-    let router = Arc::new(router);
-    let active = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let handle = std::thread::Builder::new()
-        .name("xqr-metrics".to_string())
-        .spawn(move || {
-            while !stop_flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if active.load(Ordering::SeqCst) >= MAX_SCRAPE_CONNS {
-                            // Refuse inline with tight timeouts; never
-                            // block the accept loop on a hostile peer.
-                            let _ = refuse_busy(stream);
-                            continue;
-                        }
-                        active.fetch_add(1, Ordering::SeqCst);
-                        let router = Arc::clone(&router);
-                        let conn_active = Arc::clone(&active);
-                        let spawned = std::thread::Builder::new()
-                            .name("xqr-scrape-conn".to_string())
-                            .spawn(move || {
-                                let _ = handle_conn(stream, &*router);
-                                conn_active.fetch_sub(1, Ordering::SeqCst);
-                            });
-                        if spawned.is_err() {
-                            active.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-        })
-        .expect("spawn metrics listener thread");
-    Ok(MetricsServer {
-        addr,
-        stop,
-        handle: Some(handle),
-    })
-}
-
-fn refuse_busy(mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(Duration::from_millis(250)))?;
-    stream.write_all(
-        http_response(
-            503,
-            "text/plain; charset=utf-8",
-            "scrape listener busy\n",
-            &[],
-        )
-        .as_bytes(),
-    )
-}
-
-/// Reads one request head from `stream` — bounded by `max_bytes` and a
-/// total `deadline` — and returns the raw bytes. `Ok(None)` means the
-/// peer closed before completing a head. An oversized or slow-dribbled
-/// head is an `InvalidData`/`TimedOut` error for the caller to map.
-pub(crate) fn read_head(
-    stream: &mut TcpStream,
-    max_bytes: usize,
-    deadline: Duration,
-) -> std::io::Result<Option<Vec<u8>>> {
-    let t0 = Instant::now();
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
-        if buf.len() >= max_bytes {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request head exceeds the configured bound",
-            ));
-        }
-        let remaining = deadline.saturating_sub(t0.elapsed());
-        if remaining.is_zero() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "request head not completed within the deadline",
-            ));
-        }
-        // Cap each read by the remaining head budget so a byte-at-a-time
-        // dribble cannot stretch the head past the deadline.
-        stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-        let want = (max_bytes - buf.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                break;
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(buf))
-}
-
-fn handle_conn(
-    mut stream: TcpStream,
-    router: &impl Fn(&str) -> Option<(u16, &'static str, String)>,
-) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let buf = match read_head(&mut stream, MAX_SCRAPE_HEAD_BYTES, SCRAPE_HEAD_DEADLINE) {
-        Ok(Some(buf)) => buf,
-        Ok(None) => return Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            let resp = http_response(
-                431,
-                "text/plain; charset=utf-8",
-                "request head too large\n",
-                &[],
-            );
-            let _ = stream.write_all(resp.as_bytes());
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or("/"));
-    let response = if method != "GET" {
-        http_response(
-            405,
-            "text/plain; charset=utf-8",
-            "method not allowed\n",
-            &[],
-        )
-    } else {
-        match router(path) {
-            Some((status, ctype, body)) => http_response(status, ctype, &body, &[]),
-            None => http_response(404, "text/plain; charset=utf-8", "not found\n", &[]),
-        }
-    };
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
-}
-
-/// Renders one `Connection: close` HTTP/1.1 response. `extra` headers
-/// (e.g. `Retry-After`) are emitted after the standard ones.
-pub(crate) fn http_response(
-    status: u16,
-    ctype: &str,
-    body: &str,
-    extra: &[(&str, String)],
-) -> String {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Error",
-    };
-    let mut headers = String::new();
-    for (k, v) in extra {
-        headers.push_str(k);
-        headers.push_str(": ");
-        headers.push_str(v);
-        headers.push_str("\r\n");
-    }
-    format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {ctype}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n{headers}\r\n{body}",
-        body.len()
-    )
 }
 
 #[cfg(test)]
@@ -1169,66 +884,5 @@ mod tests {
         // 'é' is 2 bytes; the cut lands mid-char and must move forward.
         assert_eq!(obs.clip_query("abcdéf"), "abcdé");
         assert_eq!(obs.clip_query("ab"), "ab");
-    }
-
-    #[test]
-    fn http_server_serves_and_404s() {
-        let srv = serve("127.0.0.1:0", |path| match path {
-            "/metrics" => Some((200, "text/plain; version=0.0.4", "xqr_up 1\n".to_string())),
-            _ => None,
-        })
-        .expect("bind");
-        let addr = srv.addr();
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        assert!(resp.ends_with("xqr_up 1\n"), "{resp}");
-
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(b"GET /nope HTTP/1.1\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
-
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(b"POST /metrics HTTP/1.1\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 405"), "{resp}");
-        srv.shutdown();
-    }
-
-    #[test]
-    fn http_server_bounds_header_floods() {
-        let srv = serve("127.0.0.1:0", |_| {
-            Some((200, "text/plain", "ok".to_string()))
-        })
-        .expect("bind");
-        let addr = srv.addr();
-        // A head larger than the bound gets 431, not unbounded buffering.
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(b"GET / HTTP/1.1\r\n").unwrap();
-        let filler = format!("X-Flood: {}\r\n", "y".repeat(1000));
-        for _ in 0..(MAX_SCRAPE_HEAD_BYTES / filler.len() + 2) {
-            if s.write_all(filler.as_bytes()).is_err() {
-                break; // server already hung up on us — also acceptable
-            }
-        }
-        let mut resp = String::new();
-        let _ = s.read_to_string(&mut resp);
-        assert!(
-            resp.is_empty() || resp.starts_with("HTTP/1.1 431"),
-            "{resp}"
-        );
-        // The listener survives and keeps serving well-formed requests.
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        s.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        srv.shutdown();
     }
 }

@@ -70,7 +70,6 @@ use xqr_xml::limits::{
 use xqr_xml::metrics::{json_escape, metrics};
 use xqr_xml::Limits;
 
-use crate::observe::{http_response, read_head};
 use crate::service::{DrainReport, QueryRequest, QueryService};
 use crate::session::{SessionConfig, SessionManager};
 use crate::{CompileOptions, EngineError};
@@ -420,6 +419,81 @@ fn engine_error_response(e: &EngineError) -> String {
         "application/json",
         &error_body(code, &e.to_string()),
         &extra,
+    )
+}
+
+/// Reads one request head from `stream` — bounded by `max_bytes` and a
+/// total `deadline` — and returns the raw bytes. `Ok(None)` means the
+/// peer closed before completing a head. An oversized or slow-dribbled
+/// head is an `InvalidData`/`TimedOut` error for the caller to map.
+fn read_head(
+    stream: &mut TcpStream,
+    max_bytes: usize,
+    deadline: Duration,
+) -> std::io::Result<Option<Vec<u8>>> {
+    let t0 = Instant::now();
+    let mut buf = Vec::with_capacity(512);
+    let mut chunk = [0u8; 512];
+    while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
+        if buf.len() >= max_bytes {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "request head exceeds the configured bound",
+            ));
+        }
+        let remaining = deadline.saturating_sub(t0.elapsed());
+        if remaining.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "request head not completed within the deadline",
+            ));
+        }
+        // Cap each read by the remaining head budget so a byte-at-a-time
+        // dribble cannot stretch the head past the deadline.
+        stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
+        let want = (max_bytes - buf.len()).min(chunk.len());
+        match stream.read(&mut chunk[..want]) {
+            Ok(0) => {
+                if buf.is_empty() {
+                    return Ok(None);
+                }
+                break;
+            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(Some(buf))
+}
+
+/// Renders one `Connection: close` HTTP/1.1 response. `extra` headers
+/// (e.g. `Retry-After`) are emitted after the standard ones.
+fn http_response(status: u16, ctype: &str, body: &str, extra: &[(&str, String)]) -> String {
+    let reason = match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        408 => "Request Timeout",
+        413 => "Payload Too Large",
+        429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
+        503 => "Service Unavailable",
+        _ => "Error",
+    };
+    let mut headers = String::new();
+    for (k, v) in extra {
+        headers.push_str(k);
+        headers.push_str(": ");
+        headers.push_str(v);
+        headers.push_str("\r\n");
+    }
+    format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {ctype}\r\n\
+         Content-Length: {}\r\nConnection: close\r\n{headers}\r\n{body}",
+        body.len()
     )
 }
 
@@ -880,12 +954,16 @@ mod tests {
         assert_eq!(get("/readyz").0, 200);
         assert_eq!(get("/metrics").0, 200);
         assert!(get("/metrics").2.contains("xqr_server_connections"));
+        assert_eq!(get("/metrics.json").0, 200);
+        assert_eq!(get("/observe.json").0, 200);
         assert_eq!(get("/server.json").0, 200);
         assert!(get("/server.json").2.contains("\"accepting\":true"));
         assert_eq!(get("/no-such").0, 404);
         // Non-POST on /query and bad methods are mapped, not dropped.
         assert_eq!(get("/query").0, 404);
         let (status, _, _) = roundtrip(addr, "PUT /query HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(status, 405);
+        let (status, _, _) = roundtrip(addr, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(status, 405);
     }
 

@@ -47,14 +47,13 @@
 //! query into a [`QueryTimeline`] wide event (per-phase durations, plan
 //! hash, reservation, cache outcome, error code) feeding per-phase latency
 //! histograms, a per-plan-shape statistics table, a bounded journal, and a
-//! slow-query log. [`QueryService::observe`] snapshots all of it;
-//! [`QueryService::serve_metrics`] serves it over HTTP (Prometheus text at
+//! slow-query log. [`QueryService::observe`] snapshots all of it, and
+//! [`crate::server::QueryServer`] serves it over HTTP (Prometheus text at
 //! `/metrics`, process counters at `/metrics.json`, the full report at
 //! `/observe.json`).
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::net::ToSocketAddrs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -69,9 +68,7 @@ use xqr_xml::{CancellationToken, Governor, Limits};
 
 use crate::breaker::{BreakerConfig, CircuitBreakers};
 use crate::doccache::DocTextCache;
-use crate::observe::{
-    self, MetricsServer, ObserveConfig, ObserveReport, QueryTimeline, ServiceObservability,
-};
+use crate::observe::{self, ObserveConfig, ObserveReport, QueryTimeline, ServiceObservability};
 use crate::plancache::PlanCacheConfig;
 use crate::{classify, panic_message, BudgetKind, CompileOptions, Engine, EngineError, Phase};
 
@@ -499,6 +496,9 @@ impl QueryService {
         let token = CancellationToken::new();
         let (tx, rx) = mpsc::channel();
         let admit_nanos = t_admit.elapsed().as_nanos() as u64;
+        // Counted before the job becomes visible to workers, so no
+        // report can see its completion without its admission.
+        self.shared.observe.record_admitted();
         st.queue.push_back(Job {
             id,
             query: req.query,
@@ -513,7 +513,6 @@ impl QueryService {
         metrics().record_service_admitted();
         metrics().record_queue_enter();
         drop(st);
-        self.shared.observe.record_admitted();
         self.shared.observe.record_admit_decision(admit_nanos);
         self.shared.work_ready.notify_one();
         Ok(QueryTicket { id, token, rx })
@@ -582,7 +581,20 @@ impl QueryService {
     /// with each shape's breaker state), the recent-query journal, the
     /// slow-query log, and point-in-time service gauges.
     pub fn observe(&self) -> ObserveReport {
-        observe_of(&self.shared)
+        let shared = &self.shared;
+        let mut r = shared.observe.report();
+        {
+            let st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
+            r.queue_depth = st.queue.len();
+            r.reserved_bytes = st.reserved;
+        }
+        r.doc_cache_bytes = shared.cache.resident_bytes();
+        r.known_plan_shapes = shared.plans.len();
+        r.open_breakers = shared.breakers.open_count();
+        for s in &mut r.shapes {
+            s.breaker = shared.breakers.state_of(s.plan_hash);
+        }
+        r
     }
 
     /// [`QueryService::observe`] as JSON.
@@ -591,17 +603,18 @@ impl QueryService {
     }
 
     /// Prometheus text exposition: the process-wide counter registry
-    /// (including the query-duration histogram in cumulative bucket form)
-    /// followed by this service's series (shed reasons, per-phase and
-    /// per-shape latency summaries).
+    /// (including the query-duration summary) followed by this service's
+    /// series (shed reasons, per-phase and per-shape latency summaries).
     pub fn prometheus_text(&self) -> String {
-        prometheus_of(&self.shared)
+        let mut s = metrics().snapshot().prometheus_text();
+        s.push_str(&self.observe().prometheus_text());
+        s
     }
 
-    /// Liveness/readiness gate shared by `/readyz` on both listeners:
-    /// the service accepts work (not shutting down) *and* the admission
-    /// queue is below its shed threshold, so an admitted probe query
-    /// would not be rejected outright.
+    /// The service half of `/readyz` (the server adds its own accept
+    /// state): the service accepts work (not shutting down) *and* the
+    /// admission queue is below its shed threshold, so an admitted probe
+    /// query would not be rejected outright.
     pub fn ready(&self) -> bool {
         let st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
         !st.shutdown && st.queue.len() < self.shared.queue_capacity
@@ -685,88 +698,23 @@ impl QueryService {
         }
     }
 
-    /// Starts a minimal blocking HTTP scrape listener on `addr` serving:
-    ///
-    /// * `GET /metrics` — Prometheus text exposition,
-    /// * `GET /metrics.json` — the process-wide counter registry as JSON,
-    /// * `GET /observe.json` — the full [`ObserveReport`] as JSON,
-    /// * `GET /healthz` — 200 while the listener is up,
-    /// * `GET /readyz` — 200 when [`QueryService::ready`], else 503.
-    ///
-    /// Bind to port 0 to pick a free port ([`MetricsServer::addr`] has
-    /// the bound address). The listener stops when the returned handle is
-    /// dropped; it holds the service's shared state alive (but not the
-    /// workers), so it may outlive the `QueryService` itself.
-    pub fn serve_metrics(&self, addr: impl ToSocketAddrs) -> std::io::Result<MetricsServer> {
-        let shared = Arc::clone(&self.shared);
-        observe::serve(addr, move |path| route_shared(&shared, path))
-    }
-
-    /// Routes the scrape/health GET endpoints (`/metrics`,
-    /// `/metrics.json`, `/observe.json`, `/healthz`, `/readyz`) for this
-    /// service; shared by [`Self::serve_metrics`] and the full query
-    /// frontend ([`crate::server::QueryServer`]) so the two surfaces
-    /// never drift.
+    /// Routes the scrape/health GET endpoints [`crate::server::QueryServer`]
+    /// delegates here: `/metrics` (Prometheus text), `/metrics.json` (the
+    /// process-wide registry), `/observe.json` (the full
+    /// [`ObserveReport`]) and `/healthz`. `None` means 404.
     pub(crate) fn route(&self, path: &str) -> Option<(u16, &'static str, String)> {
-        route_shared(&self.shared, path)
-    }
-}
-
-/// Routes the scrape/health endpoints for a shared service handle.
-fn route_shared(shared: &Shared, path: &str) -> Option<(u16, &'static str, String)> {
-    const TEXT: &str = "text/plain; charset=utf-8";
-    match path {
-        "/metrics" => Some((
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            prometheus_of(shared),
-        )),
-        "/metrics.json" => Some((200, "application/json", metrics().snapshot().dump_json())),
-        "/observe.json" | "/observe" => {
-            Some((200, "application/json", observe_of(shared).to_json()))
+        match path {
+            "/metrics" => Some((
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
+                self.prometheus_text(),
+            )),
+            "/metrics.json" => Some((200, "application/json", metrics().snapshot().dump_json())),
+            "/observe.json" | "/observe" => Some((200, "application/json", self.observe_json())),
+            "/healthz" => Some((200, "text/plain; charset=utf-8", "ok\n".to_string())),
+            _ => None,
         }
-        "/healthz" => Some((200, TEXT, "ok\n".to_string())),
-        "/readyz" => {
-            let (shutdown, depth, cap) = {
-                let st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
-                (st.shutdown, st.queue.len(), shared.queue_capacity)
-            };
-            if !shutdown && depth < cap {
-                Some((200, TEXT, "ready\n".to_string()))
-            } else {
-                Some((
-                    503,
-                    TEXT,
-                    format!("not ready (shutdown={shutdown}, queue {depth}/{cap})\n"),
-                ))
-            }
-        }
-        _ => None,
     }
-}
-
-/// Builds the observe report for a shared service handle: the layer's own
-/// counters plus the service gauges and per-shape breaker states.
-fn observe_of(shared: &Shared) -> ObserveReport {
-    let mut r = shared.observe.report();
-    {
-        let st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        r.queue_depth = st.queue.len();
-        r.reserved_bytes = st.reserved;
-    }
-    r.doc_cache_bytes = shared.cache.resident_bytes();
-    r.known_plan_shapes = shared.plans.len();
-    r.open_breakers = shared.breakers.open_count();
-    for s in &mut r.shapes {
-        s.breaker = shared.breakers.state_of(s.plan_hash);
-    }
-    r
-}
-
-fn prometheus_of(shared: &Shared) -> String {
-    let mut s = metrics().snapshot().prometheus_text();
-    s.push_str(&observe_of(shared).prometheus_text());
-    s
 }
 
 /// Flips the shutdown flag and sheds every queued-but-undispatched job:

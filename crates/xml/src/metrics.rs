@@ -3,9 +3,11 @@
 //! A single static registry of counters and histograms covering the whole
 //! engine: queries run and failed (per error code, including the governor's
 //! `XQRG*` limit codes), strategy fallbacks taken, structural-index and
-//! postings builds, documents parsed, and a log2 histogram of query wall
-//! times. Everything is lock-free atomics except the per-error-code map,
-//! which sits behind a mutex on the (cold) error path.
+//! postings builds, documents parsed, and a query wall-time
+//! [`LatencyHistogram`] — the same log-linear type the query service
+//! uses for its lifecycle phases, rendered by the same summary writer.
+//! Everything is lock-free atomics except the per-error-code map, which
+//! sits behind a mutex on the (cold) error path.
 //!
 //! The registry is deliberately placed in the lowest crate of the
 //! workspace so both the node store (`node.rs` index builds) and the
@@ -21,11 +23,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// Number of log2 duration buckets: bucket `i` counts queries whose wall
-/// time in microseconds satisfies `floor(log2(max(us, 1))) == i`, with the
-/// final bucket absorbing everything longer (~ 36 minutes and up).
-pub const DURATION_BUCKETS: usize = 32;
 
 // ===== log-linear latency histogram ========================================
 
@@ -159,6 +156,50 @@ impl HistogramSnapshot {
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
+
+    /// The summary as JSON object members, in nanoseconds (no braces, so
+    /// callers can prepend their own keys).
+    pub fn json_members(&self) -> String {
+        format!(
+            "\"count\":{},\"p50_nanos\":{},\"p95_nanos\":{},\"p99_nanos\":{},\
+             \"max_nanos\":{},\"mean_nanos\":{},\"sum_nanos\":{}",
+            self.count,
+            self.quantile(0.50),
+            self.quantile(0.95),
+            self.quantile(0.99),
+            self.max,
+            self.mean(),
+            self.sum
+        )
+    }
+
+    /// Appends this histogram to a Prometheus exposition as one summary
+    /// series in seconds: `quantile` 0.5/0.95/0.99, `_sum`, `_count`.
+    /// `labels` is `""` or the series' own labels (`phase="admit"`); the
+    /// caller writes the family's `# TYPE … summary` line once. Every
+    /// latency series of the engine goes through here.
+    pub fn write_prometheus(&self, out: &mut String, name: &str, labels: &str) {
+        use std::fmt::Write as _;
+        let sep = if labels.is_empty() { "" } else { "," };
+        for q in [0.5, 0.95, 0.99] {
+            let _ = writeln!(
+                out,
+                "{name}{{{labels}{sep}quantile=\"{q}\"}} {:.9}",
+                self.quantile(q) as f64 / 1e9
+            );
+        }
+        let braced = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{{{labels}}}")
+        };
+        let _ = writeln!(
+            out,
+            "{name}_sum{braced} {:.9}\n{name}_count{braced} {}",
+            self.sum as f64 / 1e9,
+            self.count
+        );
+    }
 }
 
 /// Why the service admission controller refused a submission. Each reason
@@ -226,8 +267,8 @@ pub struct MetricsRegistry {
     postings_builds: AtomicU64,
     postings_entries: AtomicU64,
     documents_parsed: AtomicU64,
-    query_nanos_total: AtomicU64,
-    duration_buckets: [AtomicU64; DURATION_BUCKETS],
+    /// Wall time of every successful query.
+    query_duration: LatencyHistogram,
     /// Error-code → count. String-keyed (codes arrive as `&str` of mixed
     /// provenance) and mutex-guarded: the error path is cold.
     error_codes: Mutex<BTreeMap<String, u64>>,
@@ -270,15 +311,9 @@ pub fn metrics() -> &'static MetricsRegistry {
         postings_builds: AtomicU64::new(0),
         postings_entries: AtomicU64::new(0),
         documents_parsed: AtomicU64::new(0),
-        query_nanos_total: AtomicU64::new(0),
-        duration_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        query_duration: LatencyHistogram::new(),
         error_codes: Mutex::new(BTreeMap::new()),
     })
-}
-
-fn bucket_of(nanos: u64) -> usize {
-    let us = (nanos / 1_000).max(1);
-    (63 - us.leading_zeros() as usize).min(DURATION_BUCKETS - 1)
 }
 
 impl MetricsRegistry {
@@ -288,9 +323,7 @@ impl MetricsRegistry {
 
     pub fn record_query_ok(&self, wall_nanos: u64) {
         self.queries_ok.fetch_add(1, Ordering::Relaxed);
-        self.query_nanos_total
-            .fetch_add(wall_nanos, Ordering::Relaxed);
-        self.duration_buckets[bucket_of(wall_nanos)].fetch_add(1, Ordering::Relaxed);
+        self.query_duration.record(wall_nanos);
     }
 
     /// Records a failed query. `code` is the stable error code when one
@@ -494,10 +527,7 @@ impl MetricsRegistry {
             postings_builds: self.postings_builds.load(Ordering::Relaxed),
             postings_entries: self.postings_entries.load(Ordering::Relaxed),
             documents_parsed: self.documents_parsed.load(Ordering::Relaxed),
-            query_nanos_total: self.query_nanos_total.load(Ordering::Relaxed),
-            duration_buckets: std::array::from_fn(|i| {
-                self.duration_buckets[i].load(Ordering::Relaxed)
-            }),
+            query_duration: self.query_duration.snapshot(),
             error_codes: self
                 .error_codes
                 .lock()
@@ -507,7 +537,8 @@ impl MetricsRegistry {
     }
 }
 
-/// A point-in-time copy of the registry, with text and JSON renderings.
+/// A point-in-time copy of the registry, with JSON and Prometheus
+/// renderings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub queries_started: u64,
@@ -544,8 +575,8 @@ pub struct MetricsSnapshot {
     pub postings_builds: u64,
     pub postings_entries: u64,
     pub documents_parsed: u64,
-    pub query_nanos_total: u64,
-    pub duration_buckets: [u64; DURATION_BUCKETS],
+    /// Wall time of every successful query.
+    pub query_duration: HistogramSnapshot,
     pub error_codes: BTreeMap<String, u64>,
 }
 
@@ -555,141 +586,10 @@ impl MetricsSnapshot {
         self.error_codes.get(code).copied().unwrap_or(0)
     }
 
-    /// Human-readable dump, one metric per line.
-    pub fn dump_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "queries_started       {}", self.queries_started);
-        let _ = writeln!(s, "queries_ok            {}", self.queries_ok);
-        let _ = writeln!(s, "queries_failed        {}", self.queries_failed);
-        let _ = writeln!(s, "fallbacks_taken       {}", self.fallbacks_taken);
-        let _ = writeln!(s, "queries_spilled       {}", self.queries_spilled);
-        let _ = writeln!(s, "spill_io_retries      {}", self.spill_io_retries);
-        let _ = writeln!(s, "transient_retries     {}", self.transient_retries);
-        let _ = writeln!(s, "failpoint_trips       {}", self.failpoint_trips);
-        let _ = writeln!(s, "service_admitted      {}", self.service_admitted);
-        let _ = writeln!(s, "service_shed          {}", self.service_shed);
-        let _ = writeln!(s, "  shed[queue-full]    {}", self.service_shed_queue_full);
-        let _ = writeln!(s, "  shed[reservation]   {}", self.service_shed_reservation);
-        let _ = writeln!(s, "  shed[ewma-deadline] {}", self.service_shed_deadline);
-        let _ = writeln!(s, "  shed[shutdown]      {}", self.service_shed_shutdown);
-        let _ = writeln!(s, "breaker_trips         {}", self.breaker_trips);
-        let _ = writeln!(s, "breaker_fast_fails    {}", self.breaker_fast_fails);
-        let _ = writeln!(s, "doc_cache_hits        {}", self.doc_cache_hits);
-        let _ = writeln!(s, "doc_cache_misses      {}", self.doc_cache_misses);
-        let _ = writeln!(s, "doc_cache_evictions   {}", self.doc_cache_evictions);
-        let _ = writeln!(s, "plan_cache_hits       {}", self.plan_cache_hits);
-        let _ = writeln!(s, "plan_cache_misses     {}", self.plan_cache_misses);
-        let _ = writeln!(s, "plan_cache_evictions  {}", self.plan_cache_evictions);
-        let _ = writeln!(s, "plan_cache_rehydrs    {}", self.plan_cache_rehydrations);
-        let _ = writeln!(s, "server_connections    {}", self.server_connections);
-        let _ = writeln!(s, "server_requests       {}", self.server_requests);
-        let _ = writeln!(s, "server_conn_kills     {}", self.server_conn_kills);
-        let _ = writeln!(s, "watchdog_escalations  {}", self.watchdog_escalations);
-        let _ = writeln!(s, "tenant_rejections     {}", self.tenant_rejections);
-        let _ = writeln!(s, "service_queue_depth   {}", self.service_queue_depth);
-        let _ = writeln!(s, "struct_index_builds   {}", self.struct_index_builds);
-        let _ = writeln!(s, "postings_builds       {}", self.postings_builds);
-        let _ = writeln!(s, "postings_entries      {}", self.postings_entries);
-        let _ = writeln!(s, "documents_parsed      {}", self.documents_parsed);
-        let _ = writeln!(
-            s,
-            "query_time_total      {:.3} ms",
-            self.query_nanos_total as f64 / 1e6
-        );
-        for (i, n) in self.duration_buckets.iter().enumerate() {
-            if *n > 0 {
-                let _ = writeln!(s, "query_time_us[2^{i:<2}]   {n}");
-            }
-        }
-        for (code, n) in &self.error_codes {
-            let _ = writeln!(s, "error[{code}]        {n}");
-        }
-        s
-    }
-
-    /// Machine-readable dump (hand-rolled JSON; the workspace carries no
-    /// serialization dependency).
-    pub fn dump_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"queries_started\":{},\"queries_ok\":{},\"queries_failed\":{},\
-             \"fallbacks_taken\":{},\"queries_spilled\":{},\"spill_io_retries\":{},\
-             \"transient_retries\":{},\"failpoint_trips\":{},\"service_admitted\":{},\
-             \"service_shed\":{},\"service_shed_queue_full\":{},\
-             \"service_shed_reservation\":{},\"service_shed_deadline\":{},\
-             \"service_shed_shutdown\":{},\"breaker_trips\":{},\"breaker_fast_fails\":{},\
-             \"doc_cache_hits\":{},\"doc_cache_misses\":{},\"doc_cache_evictions\":{},\
-             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"plan_cache_evictions\":{},\
-             \"plan_cache_rehydrations\":{},\"server_connections\":{},\"server_requests\":{},\
-             \"server_conn_kills\":{},\"watchdog_escalations\":{},\"tenant_rejections\":{},\
-             \"service_queue_depth\":{},\"struct_index_builds\":{},\"postings_builds\":{},\
-             \"postings_entries\":{},\"documents_parsed\":{},\"query_nanos_total\":{}",
-            self.queries_started,
-            self.queries_ok,
-            self.queries_failed,
-            self.fallbacks_taken,
-            self.queries_spilled,
-            self.spill_io_retries,
-            self.transient_retries,
-            self.failpoint_trips,
-            self.service_admitted,
-            self.service_shed,
-            self.service_shed_queue_full,
-            self.service_shed_reservation,
-            self.service_shed_deadline,
-            self.service_shed_shutdown,
-            self.breaker_trips,
-            self.breaker_fast_fails,
-            self.doc_cache_hits,
-            self.doc_cache_misses,
-            self.doc_cache_evictions,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.plan_cache_evictions,
-            self.plan_cache_rehydrations,
-            self.server_connections,
-            self.server_requests,
-            self.server_conn_kills,
-            self.watchdog_escalations,
-            self.tenant_rejections,
-            self.service_queue_depth,
-            self.struct_index_builds,
-            self.postings_builds,
-            self.postings_entries,
-            self.documents_parsed,
-            self.query_nanos_total
-        );
-        s.push_str(",\"duration_buckets_us_log2\":[");
-        for (i, n) in self.duration_buckets.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{n}");
-        }
-        s.push_str("],\"error_codes\":{");
-        for (i, (code, n)) in self.error_codes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            // Codes are short alphanumerics; escape defensively anyway.
-            let _ = write!(s, "\"{}\":{n}", json_escape(code));
-        }
-        s.push_str("}}");
-        s
-    }
-
-    /// Prometheus text exposition (format 0.0.4) of the whole registry,
-    /// including the log2 query-duration histogram in cumulative
-    /// `_bucket{le=...}` form (bucket `i` covers wall times up to
-    /// `2^(i+1)` µs) — the piece `dump_text` only showed as raw per-bucket
-    /// counts.
-    pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let counters: [(&str, u64); 29] = [
+    /// Every counter by name — the one list the JSON and Prometheus
+    /// renderings iterate. `service_queue_depth` is the single gauge.
+    pub fn counters(&self) -> [(&'static str, u64); 33] {
+        [
             ("queries_started", self.queries_started),
             ("queries_ok", self.queries_ok),
             ("queries_failed", self.queries_failed),
@@ -700,6 +600,10 @@ impl MetricsSnapshot {
             ("failpoint_trips", self.failpoint_trips),
             ("service_admitted", self.service_admitted),
             ("service_shed", self.service_shed),
+            ("service_shed_queue_full", self.service_shed_queue_full),
+            ("service_shed_reservation", self.service_shed_reservation),
+            ("service_shed_deadline", self.service_shed_deadline),
+            ("service_shed_shutdown", self.service_shed_shutdown),
             ("breaker_trips", self.breaker_trips),
             ("breaker_fast_fails", self.breaker_fast_fails),
             ("doc_cache_hits", self.doc_cache_hits),
@@ -714,55 +618,59 @@ impl MetricsSnapshot {
             ("server_conn_kills", self.server_conn_kills),
             ("watchdog_escalations", self.watchdog_escalations),
             ("tenant_rejections", self.tenant_rejections),
+            ("service_queue_depth", self.service_queue_depth),
             ("struct_index_builds", self.struct_index_builds),
             ("postings_builds", self.postings_builds),
             ("postings_entries", self.postings_entries),
             ("documents_parsed", self.documents_parsed),
-            ("query_nanos_total", self.query_nanos_total),
-        ];
-        for (name, v) in counters.iter() {
-            let _ = writeln!(s, "# TYPE xqr_{name} counter\nxqr_{name} {v}");
+        ]
+    }
+
+    /// Machine-readable dump (hand-rolled JSON; the workspace carries no
+    /// serialization dependency).
+    pub fn dump_json(&self) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::from("{");
+        for (name, v) in self.counters() {
+            let _ = write!(s, "\"{name}\":{v},");
         }
-        let _ = writeln!(s, "# TYPE xqr_service_shed_reason counter");
-        for (reason, v) in [
-            ("queue-full", self.service_shed_queue_full),
-            ("unservable-reservation", self.service_shed_reservation),
-            ("ewma-deadline", self.service_shed_deadline),
-            ("shutdown", self.service_shed_shutdown),
-        ] {
-            let _ = writeln!(s, "xqr_service_shed_reason{{reason=\"{reason}\"}} {v}");
-        }
-        let _ = writeln!(
+        let _ = write!(
             s,
-            "# TYPE xqr_service_queue_depth gauge\nxqr_service_queue_depth {}",
-            self.service_queue_depth
+            "\"query_duration\":{{{}}},\"error_codes\":{{",
+            self.query_duration.json_members()
         );
+        for (i, (code, n)) in self.error_codes.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            // Codes are short alphanumerics; escape defensively anyway.
+            let _ = write!(s, "\"{}\":{n}", json_escape(code));
+        }
+        s.push_str("}}");
+        s
+    }
+
+    /// Prometheus text exposition (format 0.0.4) of the whole registry:
+    /// one `xqr_<name>` series per counter, failures per error code, and
+    /// the query wall time as the `xqr_query_duration_seconds` summary.
+    pub fn prometheus_text(&self) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        for (name, v) in self.counters() {
+            let kind = if name == "service_queue_depth" {
+                "gauge"
+            } else {
+                "counter"
+            };
+            let _ = writeln!(s, "# TYPE xqr_{name} {kind}\nxqr_{name} {v}");
+        }
         let _ = writeln!(s, "# TYPE xqr_queries_failed_by_code counter");
         for (code, n) in &self.error_codes {
             let _ = writeln!(s, "xqr_queries_failed_by_code{{code=\"{code}\"}} {n}");
         }
-        // The log2 wall-time histogram, cumulative Prometheus form. The
-        // `le` bound of bucket i is its exclusive upper edge, 2^(i+1) µs;
-        // the final bucket is open-ended and doubles as `+Inf`.
-        let _ = writeln!(s, "# TYPE xqr_query_duration_us histogram");
-        let mut cum = 0u64;
-        for (i, n) in self.duration_buckets.iter().enumerate() {
-            cum += n;
-            if i + 1 < DURATION_BUCKETS {
-                let _ = writeln!(
-                    s,
-                    "xqr_query_duration_us_bucket{{le=\"{}\"}} {cum}",
-                    1u64 << (i + 1)
-                );
-            } else {
-                let _ = writeln!(s, "xqr_query_duration_us_bucket{{le=\"+Inf\"}} {cum}");
-            }
-        }
-        let _ = writeln!(
-            s,
-            "xqr_query_duration_us_sum {}\nxqr_query_duration_us_count {cum}",
-            self.query_nanos_total / 1_000
-        );
+        let _ = writeln!(s, "# TYPE xqr_query_duration_seconds summary");
+        self.query_duration
+            .write_prometheus(&mut s, "xqr_query_duration_seconds", "");
         s
     }
 }
@@ -794,7 +702,7 @@ mod tests {
     fn counters_are_monotone_deltas() {
         let before = metrics().snapshot();
         metrics().record_query_start();
-        metrics().record_query_ok(1_500_000); // 1.5 ms → bucket log2(1500)=10
+        metrics().record_query_ok(1_500_000);
         metrics().record_query_error("XQRG0003");
         metrics().record_fallback();
         metrics().record_query_spilled();
@@ -813,7 +721,7 @@ mod tests {
         assert!(after.struct_index_builds >= before.struct_index_builds + 1);
         assert!(after.postings_entries >= before.postings_entries + 42);
         assert!(after.error_count("XQRG0003") >= before.error_count("XQRG0003") + 1);
-        assert!(after.duration_buckets[10] >= before.duration_buckets[10] + 1);
+        assert!(after.query_duration.count >= before.query_duration.count + 1);
     }
 
     #[test]
@@ -864,21 +772,11 @@ mod tests {
     }
 
     #[test]
-    fn bucket_boundaries() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1_000), 0); // 1 µs
-        assert_eq!(bucket_of(2_000), 1);
-        assert_eq!(bucket_of(1_024_000), 10);
-        assert_eq!(bucket_of(u64::MAX), DURATION_BUCKETS - 1);
-    }
-
-    #[test]
-    fn dumps_render() {
-        let s = metrics().snapshot();
-        assert!(s.dump_text().contains("queries_started"));
-        let j = s.dump_json();
+    fn json_dump_renders() {
+        let j = metrics().snapshot().dump_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"queries_started\""));
+        assert!(j.contains("\"queries_started\":"));
+        assert!(j.contains("\"query_duration\":{\"count\":"));
     }
 
     #[test]
@@ -937,35 +835,36 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_has_cumulative_buckets() {
-        metrics().record_query_ok(3_000_000); // 3 ms → log2 bucket 11
-        let s = metrics().snapshot();
-        let text = s.prometheus_text();
-        assert!(text.contains("# TYPE xqr_queries_ok counter"));
-        assert!(text.contains("# TYPE xqr_query_duration_us histogram"));
-        assert!(text.contains("xqr_query_duration_us_bucket{le=\"+Inf\"}"));
-        assert!(text.contains("xqr_service_shed_reason{reason=\"queue-full\"}"));
-        // Cumulative buckets are monotone non-decreasing and the +Inf
-        // bucket equals the count.
-        let mut last = 0u64;
-        let mut inf = 0u64;
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("xqr_query_duration_us_bucket") {
-                let v: u64 = rest.split_whitespace().last().unwrap().parse().unwrap();
-                assert!(v >= last, "cumulative bucket decreased: {line}");
-                last = v;
-                if rest.contains("+Inf") {
-                    inf = v;
-                }
-            }
+    fn summary_writer_counts_and_orders_quantiles() {
+        let h = LatencyHistogram::new();
+        for k in 1..=500u64 {
+            h.record(k * 10_000); // 10 µs .. 5 ms
         }
-        let count: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("xqr_query_duration_us_count "))
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(inf, count);
-        assert!(count >= 1);
+        let mut text = String::new();
+        h.snapshot()
+            .write_prometheus(&mut text, "xqr_t_seconds", "phase=\"x\"");
+        let sample = |prefix: &str| -> Vec<f64> {
+            text.lines()
+                .filter_map(|l| l.strip_prefix(prefix))
+                .map(|rest| rest.rsplit(' ').next().unwrap().parse().unwrap())
+                .collect()
+        };
+        let quantiles = sample("xqr_t_seconds{phase=\"x\",quantile=");
+        assert_eq!(quantiles.len(), 3, "{text}");
+        assert!(quantiles.windows(2).all(|w| w[0] <= w[1]), "{text}");
+        assert_eq!(sample("xqr_t_seconds_count{phase=\"x\"} "), vec![500.0]);
+        let sum = sample("xqr_t_seconds_sum{phase=\"x\"} ")[0];
+        assert!((sum - 1.2525).abs() < 1e-9, "{text}");
+
+        // The process registry's wall time goes through the same writer.
+        let before = metrics().snapshot().query_duration.count;
+        metrics().record_query_ok(3_000_000);
+        let s = metrics().snapshot();
+        assert!(s.query_duration.count > before);
+        let text = s.prometheus_text();
+        assert!(text.contains("# TYPE xqr_query_duration_seconds summary"));
+        assert!(text.contains("xqr_query_duration_seconds{quantile=\"0.99\"}"));
+        assert!(text.contains("\nxqr_query_duration_seconds_count "));
+        assert!(text.contains("# TYPE xqr_service_queue_depth gauge"));
     }
 }

@@ -20,9 +20,8 @@ pub use xqr_xml as xml;
 
 pub use xqr_engine::{
     BreakerConfig, BudgetKind, CancellationToken, CollectingTracer, CompileOptions, Engine,
-    EngineError, ExecutionMode, JoinAlgorithm, LifecyclePhase, Limits, MetricsServer,
-    MetricsSnapshot, NoopTracer, ObserveConfig, ObserveReport, Phase, PhaseLatency, PlanCache,
-    PlanCacheConfig, PreparedQuery, ProfileNode, QueryProfile, QueryRequest, QueryService,
-    QueryTicket, QueryTimeline, RetryPolicy, ServiceConfig, ServiceOutput, ShapeStats, ShedReason,
-    StderrTracer, TraceEvent, Tracer,
+    EngineError, ExecutionMode, JoinAlgorithm, LifecyclePhase, Limits, MetricsSnapshot, NoopTracer,
+    ObserveConfig, ObserveReport, Phase, PhaseLatency, PlanCache, PlanCacheConfig, PreparedQuery,
+    ProfileNode, QueryProfile, QueryRequest, QueryService, QueryTicket, QueryTimeline, RetryPolicy,
+    ServiceConfig, ServiceOutput, ShapeStats, ShedReason, StderrTracer, TraceEvent, Tracer,
 };

@@ -184,15 +184,14 @@ pub mod json {
 }
 
 /// Structural validation of a Prometheus 0.0.4 text exposition: every
-/// sample line is `name[{labels}] value`, every metric referenced by a
-/// sample has a preceding `# TYPE`, and any `_bucket` series with `le`
-/// labels is cumulative (non-decreasing, ending at `+Inf` whose value
-/// equals the metric's `_count`). Returns the number of sample lines.
+/// sample line is `name[{labels}] value` with a well-formed name, and the
+/// `quantile` lines of each summary series do not decrease. Returns the
+/// number of sample lines.
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     use std::collections::HashMap;
     let mut samples = 0usize;
-    let mut buckets: HashMap<String, Vec<(String, f64)>> = HashMap::new();
-    let mut counts: HashMap<String, f64> = HashMap::new();
+    // Summary series (name + labels other than `quantile`) → last value.
+    let mut last_quantile: HashMap<String, f64> = HashMap::new();
     for line in text.lines() {
         if line.is_empty() {
             continue;
@@ -225,38 +224,15 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
         {
             return Err(format!("bad metric name {name:?}"));
         }
-        if let Some(base) = name.strip_suffix("_bucket") {
-            let le = labels
+        if labels.contains("quantile=") {
+            let key = labels
                 .split(',')
-                .find_map(|kv| kv.strip_prefix("le="))
-                .ok_or_else(|| format!("bucket without le label: {line:?}"))?
-                .trim_matches('"')
-                .to_string();
-            buckets
-                .entry(base.to_string())
-                .or_default()
-                .push((le, value));
-        } else if let Some(base) = name.strip_suffix("_count") {
-            if labels.is_empty() {
-                counts.insert(base.to_string(), value);
-            }
-        }
-    }
-    for (base, series) in &buckets {
-        let mut prev = f64::NEG_INFINITY;
-        for (le, v) in series {
-            if *v < prev {
-                return Err(format!("{base}_bucket not cumulative at le={le}"));
-            }
-            prev = *v;
-        }
-        let (last_le, last_v) = series.last().unwrap();
-        if last_le != "+Inf" {
-            return Err(format!("{base}_bucket does not end at +Inf"));
-        }
-        if let Some(c) = counts.get(base) {
-            if (last_v - c).abs() > 0.0 {
-                return Err(format!("{base}: +Inf bucket {last_v} != _count {c}"));
+                .filter(|kv| !kv.starts_with("quantile="))
+                .fold(name.to_string(), |k, kv| k + "," + kv);
+            if let Some(prev) = last_quantile.insert(key, value) {
+                if value < prev {
+                    return Err(format!("quantiles decrease at {line:?}"));
+                }
             }
         }
     }

@@ -430,7 +430,7 @@ fn metrics_json_parses() {
     e.execute("1 + 1").unwrap();
     let parsed = json::parse(&e.metrics_json()).expect("valid JSON");
     assert!(parsed.get("queries_started").unwrap().as_int().unwrap() >= 1);
-    assert!(e.metrics_text().contains("queries_started"));
+    assert!(e.metrics_prometheus().contains("\nxqr_queries_started "));
 }
 
 // ===== metrics registry ====================================================

@@ -10,8 +10,8 @@
 //!   several threads while the service runs XMark traffic always sees
 //!   monotone counters, a bounded well-formed journal, and an exposition
 //!   that parses;
-//! * the HTTP scrape listener serves consistent text and JSON documents
-//!   under the same concurrent load, and 404s unknown paths;
+//! * the `QueryServer` scrape routes serve consistent text and JSON
+//!   documents under the same concurrent load, and 404 unknown paths;
 //! * admission decisions are timed (the `admit` phase histogram) even for
 //!   submissions that were shed.
 
@@ -21,12 +21,13 @@ use std::collections::HashSet;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use common::{json, validate_prometheus};
 use xqr::engine::{
-    CompileOptions, Engine, Limits, ObserveConfig, QueryRequest, QueryService, ServiceConfig,
+    CompileOptions, Engine, Limits, ObserveConfig, QueryRequest, QueryServer, QueryService,
+    ServerConfig, ServiceConfig,
 };
 use xqr_xmark::{generate, query, GenOptions, QUERY_COUNT};
 
@@ -74,9 +75,11 @@ fn every_submission_is_accounted_for_in_the_report() {
     // Every lifecycle phase saw every query, and quantiles are ordered.
     assert_eq!(report.phases.len(), 6);
     for p in &report.phases {
-        assert_eq!(p.count, n, "phase {}", p.phase);
+        let h = &p.latency;
+        assert_eq!(h.count, n, "phase {}", p.phase);
+        let qs = [h.quantile(0.5), h.quantile(0.95), h.quantile(0.99), h.max];
         assert!(
-            p.p50_nanos <= p.p95_nanos && p.p95_nanos <= p.p99_nanos && p.p99_nanos <= p.max_nanos,
+            qs.windows(2).all(|w| w[0] <= w[1]),
             "phase {}: quantiles out of order",
             p.phase
         );
@@ -327,9 +330,12 @@ fn sheds_are_counted_per_reason_with_admit_latency() {
 
     // Admission decisions are timed for every submission, shed or not.
     let admit = r.phases.iter().find(|p| p.phase == "admit").unwrap();
-    assert_eq!(admit.count, 12, "4 admitted + 8 shed admit decisions");
+    assert_eq!(
+        admit.latency.count, 12,
+        "4 admitted + 8 shed admit decisions"
+    );
     let total = r.phases.iter().find(|p| p.phase == "total").unwrap();
-    assert_eq!(total.count, 1, "only the seed query has completed");
+    assert_eq!(total.latency.count, 1, "only the seed query has completed");
 
     // The per-reason split surfaces in the exposition with exact values.
     let text = svc.prometheus_text();
@@ -358,10 +364,10 @@ fn sheds_are_counted_per_reason_with_admit_latency() {
     assert_eq!(r.completed_err, 0);
 }
 
-// ===== HTTP scrape listener ================================================
+// ===== HTTP scrape routes ==================================================
 
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect to scrape listener");
+    let mut conn = TcpStream::connect(addr).expect("connect to the server");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     write!(
@@ -377,8 +383,9 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn http_scrape_serves_text_and_json_under_concurrent_load() {
-    let svc = xmark_service(3, ObserveConfig::default());
-    let server = svc.serve_metrics("127.0.0.1:0").expect("bind listener");
+    let svc = Arc::new(xmark_service(3, ObserveConfig::default()));
+    let server = QueryServer::start(Arc::clone(&svc), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind listener");
     let addr = server.addr();
     std::thread::scope(|s| {
         for t in 0..2usize {
@@ -400,7 +407,7 @@ fn http_scrape_serves_text_and_json_under_concurrent_load() {
                     let samples = validate_prometheus(&body).expect("valid exposition");
                     assert!(samples > 20, "suspiciously small exposition");
                     assert!(body.contains("xqr_service_admitted_total"), "{body}");
-                    assert!(body.contains("xqr_query_duration_us_bucket"), "{body}");
+                    assert!(body.contains("xqr_query_duration_seconds_count"), "{body}");
 
                     let (head, body) = http_get(addr, "/observe.json");
                     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -430,8 +437,9 @@ fn http_scrape_serves_text_and_json_under_concurrent_load() {
         Some(2 * QUERY_COUNT as i64)
     );
 
-    // Shutdown stops the listener; the service itself is unaffected.
-    server.shutdown();
+    // Dropping the server stops the listener without draining the
+    // service, which keeps serving in-process submissions.
+    drop(server);
     assert_eq!(svc.run(QueryRequest::new("1 + 1")).unwrap().xml, "2");
 }
 

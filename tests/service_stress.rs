@@ -236,10 +236,10 @@ fn overload_sheds_queue_overflow_and_recovers() {
     let after = Engine::new().metrics_snapshot();
     assert!(after.service_admitted >= before.service_admitted + 3);
     assert!(after.service_shed >= before.service_shed + 6);
-    let text = Engine::new().metrics_text();
-    assert!(text.contains("service_admitted"), "{text}");
-    assert!(text.contains("service_shed"), "{text}");
-    assert!(text.contains("breaker_trips"), "{text}");
+    let text = Engine::new().metrics_prometheus();
+    assert!(text.contains("\nxqr_service_admitted "), "{text}");
+    assert!(text.contains("\nxqr_service_shed "), "{text}");
+    assert!(text.contains("\nxqr_breaker_trips "), "{text}");
     let json = Engine::new().metrics_json();
     assert!(json.contains("\"service_shed\""), "{json}");
 }
