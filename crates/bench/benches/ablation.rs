@@ -67,32 +67,5 @@ fn bench_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Document projection (`TreeProject`) on a navigation-heavy XMark query:
-/// the projection pays a one-time pruning cost, then every descendant scan
-/// touches a fraction of the tree. Compare repeated-evaluation cost.
-fn bench_projection(c: &mut Criterion) {
-    let (engine, len) = xqr_bench::xmark_engine(400_000);
-    // Q14: //item + contains over descriptions.
-    let q = xqr_xmark::query(14);
-    let mut group = c.benchmark_group(format!("ablation/projection-{}K", len / 1000));
-    group.sample_size(10);
-    let plain = engine
-        .prepare(q, &CompileOptions::mode(ExecutionMode::OptimHashJoin))
-        .expect("prepare");
-    group.bench_function("without-projection", |b| {
-        b.iter(|| plain.run(&engine).expect("run"))
-    });
-    let projected = engine
-        .prepare(
-            q,
-            &CompileOptions::with_projection(ExecutionMode::OptimHashJoin),
-        )
-        .expect("prepare");
-    group.bench_function("with-projection", |b| {
-        b.iter(|| projected.run(&engine).expect("run"))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_ablation, bench_projection);
+criterion_group!(benches, bench_ablation);
 criterion_main!(benches);

@@ -112,9 +112,13 @@ fn service_throughput(xml: &str, cache: bool, jobs: usize) -> f64 {
     let svc = QueryService::new(ServiceConfig {
         workers: 4,
         queue_capacity: jobs + 1,
-        plan_cache: PlanCacheConfig {
-            enabled: cache,
-            ..PlanCacheConfig::default()
+        plan_cache: if cache {
+            PlanCacheConfig::default()
+        } else {
+            PlanCacheConfig {
+                max_entries: 0,
+                ..PlanCacheConfig::default()
+            }
         },
         ..ServiceConfig::default()
     });

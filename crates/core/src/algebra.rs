@@ -10,6 +10,10 @@
 //! constructors accept computed names ([`NamePlan::Dynamic`]) so the whole
 //! language compiles, and `Sequence` is n-ary (the paper's binary form is
 //! the n=2 case).
+//!
+//! One operator is left out: Table 1's document projection copied a kept
+//! document on every run and made the XMark suite 1.6–1.9× slower
+//! (DESIGN.md §4a).
 
 use std::rc::Rc;
 
@@ -103,14 +107,6 @@ pub enum Op {
     TreeJoin {
         axis: Axis,
         test: NodeTest,
-        input: Box<Plan>,
-    },
-    /// `TreeProject[paths](i)` — structural projection: keeps only branches
-    /// lying along one of the given step chains; subtrees at a chain's end
-    /// are kept whole (the projection of Marian & Siméon that the paper's
-    /// `TreeProject` operator names).
-    TreeProject {
-        paths: Vec<Vec<(Axis, NodeTest)>>,
         input: Box<Plan>,
     },
     /// `Castable[Type](a)`.
@@ -257,7 +253,6 @@ impl Op {
                 vec![(c.as_ref(), Inherit)]
             }
             Op::TreeJoin { input, .. }
-            | Op::TreeProject { input, .. }
             | Op::Castable { input, .. }
             | Op::Cast { input, .. }
             | Op::Validate { input, .. }
@@ -341,7 +336,6 @@ impl Op {
                 vec![(c.as_mut(), Inherit)]
             }
             Op::TreeJoin { input, .. }
-            | Op::TreeProject { input, .. }
             | Op::Castable { input, .. }
             | Op::Cast { input, .. }
             | Op::Validate { input, .. }
@@ -418,7 +412,6 @@ impl Op {
             Op::Pi { .. } => "PI",
             Op::DocumentNode(_) => "DocumentNode",
             Op::TreeJoin { .. } => "TreeJoin",
-            Op::TreeProject { .. } => "TreeProject",
             Op::Castable { .. } => "Castable",
             Op::Cast { .. } => "Cast",
             Op::Validate { .. } => "Validate",

@@ -40,8 +40,7 @@ use crate::compile::CompiledModule;
 use crate::pretty::node_test_display;
 
 /// Canonicalizes a compiled module in place. Idempotent; run after the
-/// rewriter (and document projection) so the final plan is what is
-/// normalized.
+/// rewriter so the final plan is what is normalized.
 pub fn canonicalize_module(m: &mut CompiledModule) {
     for_each_plan_mut(m, &mut reorder_commutative);
     rename_lifted_constants(m);
@@ -310,21 +309,6 @@ fn write_payload(out: &mut String, op: &Op, erase: bool) {
         }
         Op::TreeJoin { axis, test, .. } => {
             let _ = write!(out, "[{}::{}]", axis.name(), node_test_display(test));
-        }
-        Op::TreeProject { paths, .. } => {
-            out.push('[');
-            for (i, path) in paths.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                for (j, (axis, test)) in path.iter().enumerate() {
-                    if j > 0 {
-                        out.push('/');
-                    }
-                    let _ = write!(out, "{}::{}", axis.name(), node_test_display(test));
-                }
-            }
-            out.push(']');
         }
         Op::Castable { ty, optional, .. } | Op::Cast { ty, optional, .. } => {
             let _ = write!(out, "[{ty}{}]", if *optional { "?" } else { "" });

@@ -23,7 +23,6 @@ pub mod compile;
 pub mod fields;
 pub mod fuse;
 pub mod pretty;
-pub mod project;
 pub mod rewrite;
 pub mod trace;
 
@@ -31,7 +30,6 @@ pub use algebra::{Field, NamePlan, Op, OrderSpecPlan, Plan};
 pub use canon::{canonicalize_module, module_hash};
 pub use compile::{compile_module, CompiledFunction, CompiledGlobal, CompiledModule};
 pub use fields::{output_fields, used_input_fields, uses_input};
-pub use project::apply_document_projection;
 pub use rewrite::{
     rewrite_module, rewrite_module_traced, rewrite_module_with, rewrite_plan, RewriteStats,
     RuleConfig, RuleEvent,

@@ -130,21 +130,11 @@ pub struct CompileOptions {
     pub mode: ExecutionMode,
     /// Rewrite-rule families applied in the optimizing modes (ablation
     /// studies disable subsets; see `crates/bench/benches/ablation.rs`).
-    pub rules: Option<RuleConfig>,
-    /// Infer and install `TreeProject` document projections (see
-    /// `xqr_core::project`). Off by default: profitable for
-    /// navigation-heavy queries over large documents.
-    pub projection: bool,
+    pub rules: RuleConfig,
     /// Per-query resource limits; `None` falls back to the engine-wide
     /// limits installed with [`Engine::set_limits`] (and to
     /// [`Limits::default`] when neither is set).
     pub limits: Option<Limits>,
-    /// Opt-in graceful degradation: when spilling itself fails
-    /// irrecoverably (`XQRG0005`: I/O retries exhausted or a corrupt
-    /// frame), retry the query once with spilling disabled, under the
-    /// strict in-memory byte budget. The retry is recorded and reported by
-    /// [`PreparedQuery::explain`]. No other failure is ever retried.
-    pub retry_without_spill: bool,
     /// Collect a per-operator runtime profile on every run (EXPLAIN
     /// ANALYZE). Off by default: the disabled path is a single `Option`
     /// check per operator open/dispatch.
@@ -162,15 +152,7 @@ impl CompileOptions {
     pub fn with_rules(mode: ExecutionMode, rules: RuleConfig) -> CompileOptions {
         CompileOptions {
             mode,
-            rules: Some(rules),
-            ..CompileOptions::default()
-        }
-    }
-
-    pub fn with_projection(mode: ExecutionMode) -> CompileOptions {
-        CompileOptions {
-            mode,
-            projection: true,
+            rules,
             ..CompileOptions::default()
         }
     }
@@ -178,12 +160,6 @@ impl CompileOptions {
     /// Attaches per-query resource limits.
     pub fn limits(mut self, limits: Limits) -> CompileOptions {
         self.limits = Some(limits);
-        self
-    }
-
-    /// Enables the retry-with-spilling-disabled on spill I/O failure.
-    pub fn with_retry_without_spill(mut self) -> CompileOptions {
-        self.retry_without_spill = true;
         self
     }
 
@@ -531,7 +507,6 @@ impl Engine {
             })??
         };
         let mode = options.mode;
-        let retry_without_spill = options.retry_without_spill;
         let profile = options.profile;
         if mode == ExecutionMode::NoAlgebra {
             return Ok(PreparedQuery {
@@ -542,7 +517,6 @@ impl Engine {
                 canonical_hash: None,
                 params: HashMap::new(),
                 limits,
-                retry_without_spill,
                 fallback_note: RefCell::new(None),
                 profile,
                 last_profile: RefCell::new(None),
@@ -567,20 +541,14 @@ impl Engine {
             None
         } else {
             xqr_xml::failpoint::check("phase::rewrite").map_err(|e| classify(e, Phase::Rewrite))?;
-            let rules = options.rules.unwrap_or_default();
-            let projection = options.projection;
             let tracing = self.tracer.is_some();
             let t0 = tracing.then(Instant::now);
             let stats = isolate(Phase::Rewrite, "compiled plan", || {
-                let stats = if tracing {
-                    rewrite_module_traced(&mut compiled, rules)
+                if tracing {
+                    rewrite_module_traced(&mut compiled, options.rules)
                 } else {
-                    rewrite_module_with(&mut compiled, rules)
-                };
-                if projection {
-                    xqr_core::apply_document_projection(&mut compiled);
+                    rewrite_module_with(&mut compiled, options.rules)
                 }
-                stats
             })?;
             if let Some(t0) = t0 {
                 for ev in &stats.events {
@@ -619,7 +587,6 @@ impl Engine {
             canonical_hash: Some(canonical_hash),
             params: HashMap::new(),
             limits,
-            retry_without_spill,
             fallback_note: RefCell::new(None),
             profile,
             last_profile: RefCell::new(None),
@@ -701,7 +668,6 @@ impl Engine {
             canonical_hash: cached.plan.is_some().then_some(cached.canonical_hash),
             params: HashMap::new(),
             limits: options.limits.clone().or_else(|| self.limits.clone()),
-            retry_without_spill: options.retry_without_spill,
             fallback_note: RefCell::new(None),
             profile: options.profile,
             last_profile: RefCell::new(None),
@@ -743,14 +709,13 @@ impl Engine {
 }
 
 /// The plan-cache text key: FNV over the query text plus every compile
-/// option that affects the resulting plan. Execution-only options
-/// (limits, profiling, the spill retry) are *not*
-/// keyed — they live on the `PreparedQuery`, not the cached plan.
+/// option that affects the resulting plan: the mode and the rule config.
+/// Execution-only options (limits, profiling) are *not* keyed — they live
+/// on the `PreparedQuery`, not the cached plan.
 fn text_cache_key(query: &str, options: &CompileOptions) -> u64 {
-    let rules = options.rules.unwrap_or_default();
+    let rules = &options.rules;
     let fingerprint = [
         options.mode as u8,
-        u8::from(options.projection),
         u8::from(rules.remove_map),
         u8::from(rules.unnesting),
         u8::from(rules.join_insertion),
@@ -782,7 +747,6 @@ pub struct PreparedQuery {
     /// Effective limits (query-level, else engine-wide) captured at
     /// prepare time.
     limits: Option<Limits>,
-    retry_without_spill: bool,
     /// Set when a run was retried with spilling disabled; surfaced by
     /// [`PreparedQuery::explain`].
     fallback_note: RefCell<Option<String>>,
@@ -835,7 +799,7 @@ impl PreparedQuery {
     }
 
     /// Whether the most recent run degraded to the spill-disabled retry
-    /// ([`CompileOptions::retry_without_spill`]).
+    /// (see [`PreparedQuery::run_cancellable`]).
     pub fn last_run_fell_back(&self) -> bool {
         self.last_fell_back.get()
     }
@@ -984,6 +948,11 @@ impl PreparedQuery {
     /// [`PreparedQuery::run`] with an externally held cancellation handle:
     /// `token.cancel()` from any thread makes the query fail with
     /// `XQRG0002` at its next cooperative check.
+    ///
+    /// A run that fails because spilling itself failed (`XQRG0005`) is
+    /// rerun once with spilling disabled, under the strict in-memory byte
+    /// budget; if that rerun fails too, the original `XQRG0005` is
+    /// returned. No other failure is retried.
     pub fn run_cancellable(
         &self,
         engine: &Engine,
@@ -1001,7 +970,7 @@ impl PreparedQuery {
                 phase,
                 budget,
                 message,
-            }) if code == ERR_SPILL_IO && self.retry_without_spill && self.plan.is_some() => {
+            }) if code == ERR_SPILL_IO && self.plan.is_some() => {
                 // Spilling itself failed irrecoverably (retries exhausted
                 // or a corrupt frame): retry once with spilling disabled,
                 // degrading to the strict in-memory byte budget — a broken

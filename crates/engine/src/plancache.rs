@@ -10,8 +10,8 @@
 //! Entries are keyed two levels deep:
 //!
 //! * a **text key** (FNV over the query text plus every compile option
-//!   that affects the plan: mode, rule config, projection) resolves in one
-//!   hash lookup on the hot path, and
+//!   that affects the plan: mode and rule config) resolves in one hash
+//!   lookup on the hot path, and
 //! * the **canonical plan hash** (from [`xqr_core::canon`], computed after
 //!   compile + rewrite + canonicalization) is the entry's identity, so
 //!   syntactic variants that normalize to the same plan — renamed
@@ -36,8 +36,6 @@ pub struct PlanCacheConfig {
     pub max_entries: usize,
     /// Budget of *estimated* plan bytes (0 disables caching outright).
     pub max_bytes: usize,
-    /// Master switch; `false` makes every `prepare_cached` compile fresh.
-    pub enabled: bool,
 }
 
 impl Default for PlanCacheConfig {
@@ -45,7 +43,6 @@ impl Default for PlanCacheConfig {
         PlanCacheConfig {
             max_entries: 256,
             max_bytes: 32 << 20,
-            enabled: true,
         }
     }
 }
@@ -93,7 +90,7 @@ impl PlanCache {
     }
 
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled && self.cfg.max_entries > 0 && self.cfg.max_bytes > 0
+        self.cfg.max_entries > 0 && self.cfg.max_bytes > 0
     }
 
     /// Cached plans currently held.
@@ -225,7 +222,6 @@ mod tests {
         let mut c = PlanCache::new(PlanCacheConfig {
             max_entries: 2,
             max_bytes: usize::MAX,
-            enabled: true,
         });
         c.insert(1, plan(101, 1));
         c.insert(2, plan(102, 1));
@@ -242,7 +238,6 @@ mod tests {
         let mut c = PlanCache::new(PlanCacheConfig {
             max_entries: usize::MAX,
             max_bytes: 25,
-            enabled: true,
         });
         c.insert(1, plan(101, 10));
         c.insert(2, plan(102, 10));
@@ -257,7 +252,6 @@ mod tests {
         let mut c = PlanCache::new(PlanCacheConfig {
             max_entries: 8,
             max_bytes: 5,
-            enabled: true,
         });
         c.insert(1, plan(101, 100));
         assert_eq!(c.len(), 1, "sole oversized entry is kept");
@@ -272,7 +266,7 @@ mod tests {
     #[test]
     fn disabled_cache_never_stores() {
         let mut c = PlanCache::new(PlanCacheConfig {
-            enabled: false,
+            max_entries: 0,
             ..PlanCacheConfig::default()
         });
         c.insert(1, plan(101, 1));

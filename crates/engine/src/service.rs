@@ -88,9 +88,6 @@ pub struct ServiceConfig {
     pub default_reservation: u64,
     /// Byte budget of the shared raw-document-text cache.
     pub doc_cache_budget: u64,
-    /// Service-wide default [`Limits`] for requests that do not carry
-    /// their own (`CompileOptions::limits` wins).
-    pub default_limits: Option<Limits>,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Transient-retry policy for document loading.
@@ -116,7 +113,6 @@ impl Default for ServiceConfig {
             memory_budget: 256 << 20,
             default_reservation: 16 << 20,
             doc_cache_budget: 64 << 20,
-            default_limits: None,
             breaker: BreakerConfig::default(),
             retry: RetryPolicy::default(),
             configure_engine: None,
@@ -225,11 +221,9 @@ impl QueryTicket {
 struct Job {
     id: u64,
     query: String,
+    /// The request's options; the deadline in `options.limits` is rebased
+    /// by the queue wait at dispatch.
     options: CompileOptions,
-    /// Effective limits (request-level, else service default) captured
-    /// at admission; the deadline is rebased by the queue wait at
-    /// dispatch.
-    limits: Option<Limits>,
     reservation: u64,
     token: CancellationToken,
     reply: Sender<Result<ServiceOutput, EngineError>>,
@@ -348,7 +342,6 @@ struct Shared {
     queue_capacity: usize,
     memory_budget: u64,
     default_reservation: u64,
-    default_limits: Option<Limits>,
     retry: RetryPolicy,
     breakers: CircuitBreakers,
     cache: DocTextCache,
@@ -381,7 +374,6 @@ impl QueryService {
             queue_capacity: cfg.queue_capacity.max(1),
             memory_budget: cfg.memory_budget,
             default_reservation: cfg.default_reservation.min(cfg.memory_budget).max(1),
-            default_limits: cfg.default_limits,
             retry: cfg.retry,
             breakers: CircuitBreakers::new(cfg.breaker),
             cache: DocTextCache::new(cfg.doc_cache_budget),
@@ -436,11 +428,7 @@ impl QueryService {
     pub fn submit(&self, req: QueryRequest) -> Result<QueryTicket, EngineError> {
         xqr_xml::failpoint::check("service::admit").map_err(|e| classify(e, Phase::Admit))?;
         let t_admit = Instant::now();
-        let limits = req
-            .options
-            .limits
-            .clone()
-            .or_else(|| self.shared.default_limits.clone());
+        let limits = &req.options.limits;
         let reservation = limits
             .as_ref()
             .and_then(|l| l.max_bytes)
@@ -503,7 +491,6 @@ impl QueryService {
             id,
             query: req.query,
             options: req.options,
-            limits,
             reservation,
             token: token.clone(),
             reply: tx,
@@ -924,8 +911,8 @@ fn execute_job(
 
     // Rebase the deadline by the time already spent queued: a 100 ms
     // deadline submitted 80 ms ago has 20 ms left, not 100.
-    let mut limits = job.limits.clone();
-    if let Some(l) = &mut limits {
+    let mut options = job.options.clone();
+    if let Some(l) = &mut options.limits {
         if let Some(d) = l.deadline {
             match d.checked_sub(Duration::from_nanos(queue_nanos)) {
                 Some(rem) if !rem.is_zero() => l.deadline = Some(rem),
@@ -941,9 +928,7 @@ fn execute_job(
             }
         }
     }
-    let mut options = job.options.clone();
-    options.limits = limits.clone();
-    let effective = limits.clone().unwrap_or_default();
+    let effective = options.limits.clone().unwrap_or_default();
     let gov = Governor::new(&effective, job.token.clone());
 
     // Cancelled while queued (or deadline raced to zero just now).
@@ -981,7 +966,7 @@ fn execute_job(
                 shape: known_shape.unwrap_or(text_shape),
                 token: job.token.clone(),
                 started: t_dispatch,
-                deadline: limits.as_ref().and_then(|l| l.deadline),
+                deadline: options.limits.as_ref().and_then(|l| l.deadline),
             },
         );
     struct InflightGuard<'a> {
@@ -1404,7 +1389,7 @@ mod tests {
         let svc = QueryService::new(ServiceConfig {
             workers: 1,
             plan_cache: PlanCacheConfig {
-                enabled: false,
+                max_entries: 0,
                 ..PlanCacheConfig::default()
             },
             ..ServiceConfig::default()

@@ -7,11 +7,8 @@ use std::collections::HashMap;
 
 use xqr_core::algebra::{NamePlan, Op, OrderSpecPlan, Plan};
 use xqr_types::validate_sequence;
-use xqr_xml::axes::{tree_join_cached, Axis, NodeTest};
-use xqr_xml::{
-    AtomicValue, Item, NodeHandle, NodeKind, QName, Sequence, SequenceBuilder, TreeBuilder,
-    XmlError,
-};
+use xqr_xml::axes::tree_join_cached;
+use xqr_xml::{AtomicValue, Item, QName, Sequence, SequenceBuilder, TreeBuilder, XmlError};
 
 use crate::compare::{atomize_optional, effective_boolean_value, order_key_compare};
 use crate::context::Ctx;
@@ -286,10 +283,6 @@ fn eval_inner(plan: &Plan, ctx: &mut Ctx<'_>, input: Option<&InputVal>) -> xqr_x
                 )?;
                 Ok(Value::Items(stepped))
             }
-        }
-        Op::TreeProject { paths, input: src } => {
-            let items = eval_items(src, ctx, input)?;
-            Ok(Value::Items(tree_project(&items, paths, ctx)?))
         }
         Op::Cast {
             ty,
@@ -705,115 +698,4 @@ fn copy_content(b: &mut TreeBuilder, items: &Sequence) -> xqr_xml::Result<()> {
         b.text(&pending_text);
     }
     Ok(())
-}
-
-/// `TreeProject[paths]`: structural projection — keeps, under each input
-/// node, only branches lying along one of the given step chains
-/// (child/descendant steps; a chain's end keeps its whole subtree). The
-/// projection inference in `xqr-core::project` guarantees reverse axes are
-/// absent before this operator is ever introduced.
-fn tree_project(
-    items: &Sequence,
-    paths: &[Vec<(Axis, NodeTest)>],
-    ctx: &Ctx<'_>,
-) -> xqr_xml::Result<Sequence> {
-    let mut out = Vec::with_capacity(items.len());
-    let active: Vec<&[(Axis, NodeTest)]> = paths.iter().map(|p| p.as_slice()).collect();
-    for item in items.iter() {
-        match item {
-            Item::Node(n) => {
-                let mut b = TreeBuilder::new();
-                project_node(&mut b, n, &active, ctx);
-                out.push(Item::Node(b.try_finish(None)?.root()));
-            }
-            Item::Atomic(_) => return Err(XmlError::new("XPTY0020", "TreeProject on a non-node")),
-        }
-    }
-    Ok(Sequence::from_vec(out))
-}
-
-fn project_node(
-    b: &mut TreeBuilder,
-    n: &NodeHandle,
-    active: &[&[(Axis, NodeTest)]],
-    ctx: &Ctx<'_>,
-) {
-    // Any exhausted chain keeps the whole subtree.
-    if active.iter().any(|p| p.is_empty()) {
-        b.copy_node(n);
-        return;
-    }
-    match n.kind() {
-        NodeKind::Document => {
-            b.start_document();
-            for c in n.children() {
-                project_child(b, &c, active, ctx);
-            }
-            b.end_document();
-        }
-        NodeKind::Element => {
-            b.start_element(n.name().expect("element").clone());
-            for a in n.attributes() {
-                b.copy_node(&a);
-            }
-            for c in n.children() {
-                project_child(b, &c, active, ctx);
-            }
-            b.end_element();
-        }
-        _ => b.copy_node(n),
-    }
-}
-
-fn project_child(
-    b: &mut TreeBuilder,
-    c: &NodeHandle,
-    active: &[&[(Axis, NodeTest)]],
-    ctx: &Ctx<'_>,
-) {
-    // Advance every chain against this child; a chain survives if the
-    // child matches its head (advanced) or if a descendant step may still
-    // match deeper (kept as-is).
-    let mut next: Vec<&[(Axis, NodeTest)]> = Vec::new();
-    for path in active {
-        let (axis, test) = &path[0];
-        match axis {
-            Axis::Child => {
-                if test.matches(c, Axis::Child, ctx.schema) {
-                    next.push(&path[1..]);
-                }
-            }
-            Axis::Descendant | Axis::DescendantOrSelf => {
-                if test.matches(c, Axis::Child, ctx.schema) {
-                    next.push(&path[1..]);
-                    // Deeper occurrences of the same pattern remain
-                    // reachable inside the kept subtree only when the chain
-                    // continues; keep scanning for them too.
-                    if path.len() > 1 {
-                        next.push(path);
-                    }
-                } else {
-                    next.push(path);
-                }
-            }
-            // Inference never emits other axes; keep the child whole if it
-            // ever happens (conservative).
-            _ => {
-                b.copy_node(c);
-                return;
-            }
-        }
-    }
-    if next.iter().any(|p| p.is_empty()) {
-        b.copy_node(c);
-        return;
-    }
-    if next.is_empty() {
-        return; // no chain can match below: prune.
-    }
-    if c.kind() == NodeKind::Element {
-        project_node(b, c, &next, ctx);
-    }
-    // Non-element children (text/comments/PIs) between structural levels
-    // are only kept inside fully-kept subtrees.
 }

@@ -449,10 +449,9 @@ pub(crate) fn inner_side_invariant(right_plan: &Plan) -> bool {
     !xqr_core::fields::uses_input(right_plan) && !constructs_nodes(right_plan)
 }
 
-/// Can evaluating this plan create nodes? The constructors, the two
-/// operators that return annotated or projected *copies*, and any user
-/// function (its body is not inspected). Builtins return atoms or nodes
-/// that already exist.
+/// Can evaluating this plan create nodes? The constructors, `Validate`
+/// (which returns annotated *copies*), and any user function (its body is
+/// not inspected). Builtins return atoms or nodes that already exist.
 fn constructs_nodes(p: &Plan) -> bool {
     match &p.op {
         Op::Element { .. }
@@ -461,8 +460,7 @@ fn constructs_nodes(p: &Plan) -> bool {
         | Op::Comment(_)
         | Op::Pi { .. }
         | Op::DocumentNode(_)
-        | Op::Validate { .. }
-        | Op::TreeProject { .. } => true,
+        | Op::Validate { .. } => true,
         Op::Call { name, .. } if !crate::functions::is_builtin(name.local_part()) => true,
         op => op.children().iter().any(|(c, _)| constructs_nodes(c)),
     }

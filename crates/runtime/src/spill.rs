@@ -48,9 +48,9 @@
 //! deadline, a failpoint evaluation per attempt
 //! (`spill::open`, `spill::write`, `spill::read`), and `XQRG0005` when
 //! the attempts are exhausted. The engine treats `XQRG0005` as a signal
-//! to retry the query once with spilling disabled (opt-in:
-//! `CompileOptions::retry_without_spill`), so a broken disk degrades to the
-//! strict in-memory budget instead of failing the query outright.
+//! to retry the query once with spilling disabled, so a broken disk
+//! degrades to the strict in-memory budget instead of failing the query
+//! outright.
 
 use std::cell::Cell;
 use std::cmp::Ordering;

@@ -20,7 +20,8 @@
 //!                           run slower than N milliseconds
 //!       --serve ADDR        serve queries over HTTP on ADDR (e.g.
 //!                           127.0.0.1:7700; port 0 picks a free port)
-//!                           instead of running one query
+//!                           instead of running one query; only --doc
+//!                           and --drain-ms combine with it
 //!       --drain-ms N        graceful-drain budget on shutdown  [5000]
 //! ```
 //!
@@ -92,8 +93,26 @@ const USAGE: &str = "usage: xqr [OPTIONS] (-q QUERY | QUERY_FILE)
       --slow-query-ms N   emit a wide-event JSON line to stderr for any
                           run slower than N milliseconds
       --serve ADDR        serve queries over HTTP on ADDR (POST /query;
-                          port 0 picks a free port)
+                          port 0 picks a free port); only --doc and
+                          --drain-ms combine with it
       --drain-ms N        graceful-drain budget on shutdown  [5000]";
+
+/// Flags that only shape a single query run; `--serve` rejects them
+/// instead of ignoring them.
+const QUERY_ONLY: [&str; 12] = [
+    "-q",
+    "--query",
+    "--var",
+    "--param",
+    "--repeat",
+    "--mode",
+    "--explain",
+    "--stats",
+    "--pretty",
+    "--time",
+    "--metrics",
+    "--slow-query-ms",
+];
 
 fn parse_args() -> Result<Args, String> {
     let mut out = Args {
@@ -114,9 +133,14 @@ fn parse_args() -> Result<Args, String> {
         drain_ms: 5000,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // The first query-only argument seen, as spelled.
+    let mut query_only: Option<&str> = None;
     let mut i = 0;
     while i < argv.len() {
         let arg = argv[i].as_str();
+        if QUERY_ONLY.contains(&arg) {
+            query_only = query_only.or(Some(arg));
+        }
         let value = |i: &mut usize| -> Result<String, String> {
             *i += 1;
             argv.get(*i)
@@ -189,10 +213,14 @@ fn parse_args() -> Result<Args, String> {
             }
             other if !other.starts_with('-') && out.query_file.is_none() => {
                 out.query_file = Some(other.to_string());
+                query_only = query_only.or(Some("QUERY_FILE"));
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
         i += 1;
+    }
+    if let (Some(_), Some(flag)) = (&out.serve, query_only) {
+        return Err(format!("{flag} has no effect with --serve"));
     }
     if out.serve.is_none() && out.query.is_none() && out.query_file.is_none() {
         return Err("a query is required (use -q TEXT or a QUERY_FILE, or --serve ADDR)".into());

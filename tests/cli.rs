@@ -106,3 +106,40 @@ fn pretty_output() {
     assert_eq!(code, 0);
     assert_eq!(stdout, "<a>\n  <b/>\n  <c/>\n</a>\n");
 }
+
+/// `--serve` runs no query of its own, so every query-time flag is a
+/// usage error rather than silently ignored.
+#[test]
+fn serve_rejects_query_time_flags() {
+    let cases: [&[&str]; 13] = [
+        &["-q", "1"],
+        &["q.xq"],
+        &["--var", "x=1"],
+        &["--param", "x=1"],
+        &["--repeat", "5"],
+        &["--mode", "nl"],
+        &["--explain"],
+        &["--stats"],
+        &["--pretty"],
+        &["--time"],
+        &["--metrics"],
+        &["--slow-query-ms", "5"],
+        &["--query", "1"],
+    ];
+    for flags in cases {
+        let mut args = vec!["--serve", "127.0.0.1:0"];
+        args.extend_from_slice(flags);
+        let (stdout, stderr, code) = run(&args);
+        let name = if flags[0].starts_with('-') {
+            flags[0]
+        } else {
+            "QUERY_FILE"
+        };
+        assert_eq!(code, 2, "{args:?} must be refused: {stdout}{stderr}");
+        assert!(
+            stderr.contains(&format!("{name} has no effect with --serve")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stdout.contains("listening on"), "{args:?} started serving");
+    }
+}

@@ -242,7 +242,6 @@ fn tiny_cache_budget_evicts_but_stays_correct() {
     e.set_plan_cache_config(PlanCacheConfig {
         max_entries: 2,
         max_bytes: 1 << 20,
-        enabled: true,
     });
     let before = metrics().snapshot();
     // Three rounds over six shapes with room for two: every round evicts,

@@ -297,6 +297,57 @@ fn cancelled_spilling_queries_leave_no_orphan_dirs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A served query whose spill dir cannot be created (its parent is a
+/// regular file) degrades to one in-memory rerun with spilling disabled
+/// and still answers; the journal, the shape table and the process
+/// metrics all record the fallback.
+#[test]
+fn served_spill_failure_falls_back_to_an_in_memory_answer() {
+    let _l = lock();
+    let file =
+        std::env::temp_dir().join(format!("xqr-service-test-{}-notadir", std::process::id()));
+    std::fs::write(&file, b"x").unwrap();
+    // A ~10 KB watermark forces the spill attempt; the 1 MB budget holds
+    // the whole query in memory on the rerun. Behind the sorting global
+    // the join is a Grace join, which always goes to disk once spilling.
+    let limits = Limits::none()
+        .with_max_bytes(1024 * 1024)
+        .with_spill_watermark(1)
+        .with_spill_dir(file.join("sub"));
+    let q = "declare variable $flip := for $i in (1 to 200) order by $i return $i; \
+             count(for $x in (1 to 800), $y in (1 to 800) where $x = $y return $x)";
+    let before = Engine::new().metrics_snapshot().fallbacks_taken;
+    let svc = QueryService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let out = svc
+        .run(QueryRequest::new(q).with_options(CompileOptions::default().limits(limits)))
+        .expect("the in-memory rerun answers");
+    assert_eq!(out.xml, "800");
+    let report = svc.observe();
+    let tl = report
+        .journal
+        .iter()
+        .find(|t| t.id == out.id)
+        .expect("journal entry");
+    assert!(tl.fell_back, "journal must record the fallback: {tl:?}");
+    assert_eq!(tl.error, None);
+    let hash = tl.plan_hash.expect("prepared");
+    let shape = report
+        .shapes
+        .iter()
+        .find(|s| s.plan_hash == hash)
+        .expect("shape row");
+    assert_eq!(shape.fallbacks, 1);
+    assert_eq!(
+        Engine::new().metrics_snapshot().fallbacks_taken,
+        before + 1,
+        "fallbacks_taken counts the rerun"
+    );
+    let _ = std::fs::remove_file(&file);
+}
+
 #[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;

@@ -9,9 +9,9 @@
 //!
 //! The second half (`mod failpoints`, compiled with
 //! `--features failpoints`) drives the deterministic fault paths: spill
-//! I/O retry-then-recover, retry exhaustion (`XQRG0005`), the
-//! retry-with-spilling-disabled engine recovery, and temp-file hygiene
-//! after an injected panic.
+//! I/O retry-then-recover, retry exhaustion (`XQRG0005`), the engine's
+//! rerun with spilling disabled, and temp-file hygiene after an injected
+//! panic.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -343,53 +343,71 @@ fn spill_temp_dir_is_removed_on_success() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spill parent that is a regular *file*: creating the per-query dir
+/// under it fails deterministically (even when running as root, unlike a
+/// permission-bit test).
+fn not_a_dir(tag: &str) -> PathBuf {
+    let file = std::env::temp_dir().join(format!(
+        "xqr-spill-test-{}-{tag}-notadir",
+        std::process::id()
+    ));
+    std::fs::write(&file, b"x").unwrap();
+    file
+}
+
+/// The spill attempt exhausts its I/O retries (`XQRG0005`); the engine
+/// then reruns once with spilling disabled, and a roomy byte budget holds
+/// the whole query in memory.
 #[test]
 fn unwritable_spill_parent_fails_with_xqrg0005_then_falls_back() {
     let _l = lock();
-    // The configured parent is a regular *file*: creating the per-query
-    // dir under it fails deterministically (even when running as root,
-    // unlike a permission-bit test).
-    let file = std::env::temp_dir().join(format!("xqr-spill-test-{}-notadir", std::process::id()));
-    std::fs::write(&file, b"x").unwrap();
+    let file = not_a_dir("roomy");
     let mut e = Engine::new();
     e.bind_document("bib.xml", BIB).unwrap();
     // A ~10 KB watermark forces the spill attempt while the 1 MB hard
     // budget still holds the whole query in memory on the rerun.
-    let limits = || {
-        Limits::none()
-            .with_max_bytes(1024 * 1024)
-            .with_spill_watermark(1)
-            .with_spill_dir(file.join("sub"))
-    };
-
-    let hard = outcome(
-        &e,
-        &count_join(),
-        &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(limits()),
-    );
-    assert_eq!(
-        hard,
-        Err("XQRG0005".to_string()),
-        "an unusable spill dir exhausts the I/O retries"
-    );
-
-    // With the retry enabled the engine reruns once with spilling
-    // disabled; the hard budget then holds the query in memory.
+    let limits = Limits::none()
+        .with_max_bytes(1024 * 1024)
+        .with_spill_watermark(1)
+        .with_spill_dir(file.join("sub"));
     let p = e
         .prepare(
             &count_join(),
-            &CompileOptions::mode(ExecutionMode::OptimHashJoin)
-                .limits(limits())
-                .with_retry_without_spill(),
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(limits),
         )
         .unwrap();
-    let soft = p.run_to_string(&e).map_err(err_code);
-    assert_eq!(soft, Ok("800".to_string()));
+    assert_eq!(p.run_to_string(&e).map_err(err_code), Ok("800".to_string()));
+    assert!(p.last_run_fell_back());
     assert!(
         p.explain().contains("spilling failed"),
         "the retry must be surfaced by explain(): {}",
         p.explain()
     );
+    let _ = std::fs::remove_file(&file);
+}
+
+/// The same unusable spill dir under a budget the strict in-memory rerun
+/// cannot meet: the rerun fails, and the run reports the original
+/// `XQRG0005`, not the rerun's budget error.
+#[test]
+fn unwritable_spill_parent_without_memory_headroom_stays_xqrg0005() {
+    let _l = lock();
+    let file = not_a_dir("tight");
+    let mut e = Engine::new();
+    e.bind_document("bib.xml", BIB).unwrap();
+    let p = e
+        .prepare(
+            &count_join(),
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin)
+                .limits(spilled_limits().with_spill_dir(file.join("sub"))),
+        )
+        .unwrap();
+    assert_eq!(
+        p.run_to_string(&e).map_err(err_code),
+        Err("XQRG0005".to_string()),
+        "an unusable spill dir exhausts the I/O retries"
+    );
+    assert!(p.last_run_fell_back(), "the strict rerun was attempted");
     let _ = std::fs::remove_file(&file);
 }
 
@@ -536,6 +554,8 @@ mod failpoints {
         assert!(after >= before + 2, "both retries must be counted");
     }
 
+    /// The strict in-memory rerun cannot meet the tiny budget either, so
+    /// the exhaustion code is what the caller sees.
     #[test]
     fn persistent_spill_write_failure_exhausts_retries_to_xqrg0005() {
         let _l = lock();
@@ -584,9 +604,7 @@ mod failpoints {
         let p = e
             .prepare(
                 &count_join(),
-                &CompileOptions::mode(ExecutionMode::OptimHashJoin)
-                    .limits(limits)
-                    .with_retry_without_spill(),
+                &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(limits),
             )
             .unwrap();
         let r = p.run_to_string(&e).map_err(err_code);
