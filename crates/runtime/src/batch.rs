@@ -406,6 +406,11 @@ impl<'p> NlJoinKernel<'p> {
             .eval_atoms(ctx, &InputVal::Tuple(lt.clone()))?;
 
         let mut out = Vec::new();
+        if cache.filled == right.len() && self.cmp.general && outer_atoms.is_empty() {
+            // Existential semantics: an empty operand matches nothing, and
+            // with the inner cache full no operand is left to evaluate.
+            return Ok(out);
+        }
         if cache.filled == right.len() && self.cmp.general && outer_atoms.len() == 1 {
             let tx = outer_atoms[0].type_of();
             if self.ensure_lane(cache, tx) {

@@ -5,12 +5,13 @@
 
 use std::collections::HashMap;
 
-use xqr_core::algebra::{NamePlan, Op, OrderSpecPlan, Plan};
+use xqr_core::algebra::{Op, OrderSpecPlan, Plan};
 use xqr_types::validate_sequence;
 use xqr_xml::axes::tree_join_cached;
-use xqr_xml::{AtomicValue, Item, QName, Sequence, SequenceBuilder, TreeBuilder, XmlError};
+use xqr_xml::{AtomicValue, QName, Sequence, SequenceBuilder, XmlError};
 
 use crate::compare::{atomize_optional, effective_boolean_value, order_key_compare};
+use crate::construct::construct_node;
 use crate::context::Ctx;
 use crate::functions::{call_builtin, is_builtin, BuiltinCtx};
 use crate::groupby::execute_group_by_streaming;
@@ -139,7 +140,9 @@ pub(crate) fn eval_table(
 /// Is this operator recorded by [`eval`]? The breakers, path steps, the
 /// tuples-to-items boundaries, calls and node constructors — the nodes
 /// evaluated here where cardinality and time attribution is meaningful (a
-/// constructor's self time is its finish-then-copy of the content). The
+/// constructor's self time is writing its node and copying the content it
+/// did not construct in place; one written into its parent's builder is
+/// recorded by the writer, `construct::Content::write`). The
 /// streaming tuple operators are absent: their cursor's `ProfiledCursor`
 /// is their only recorder. Leaf scalar/variable/field plans stay out too:
 /// they evaluate per tuple inside dependent sub-plans, where wrapping
@@ -204,46 +207,12 @@ fn eval_inner(plan: &Plan, ctx: &mut Ctx<'_>, input: Option<&InputVal>) -> xqr_x
         }
         Op::Empty => Ok(Value::empty_items()),
         Op::Scalar(v) => Ok(Value::Items(Sequence::singleton(v.clone()))),
-        Op::Element { name, content } => {
-            let q = resolve_name(name, ctx, input)?;
-            let items = eval_items(content, ctx, input)?;
-            Ok(Value::Items(Sequence::singleton(construct_element(
-                &q, &items,
-            )?)))
-        }
-        Op::Attribute { name, content } => {
-            let q = resolve_name(name, ctx, input)?;
-            let items = eval_items(content, ctx, input)?;
-            Ok(Value::Items(Sequence::singleton(construct_attribute(
-                &q, &items,
-            )?)))
-        }
-        Op::Text(c) => {
-            let items = eval_items(c, ctx, input)?;
-            Ok(Value::Items(construct_text(&items)?))
-        }
-        Op::Comment(c) => {
-            let items = eval_items(c, ctx, input)?;
-            let mut b = TreeBuilder::new();
-            b.comment(&joined_string(&items));
-            Ok(Value::Items(Sequence::singleton(b.finish(None).root())))
-        }
-        Op::Pi { target, content } => {
-            let items = eval_items(content, ctx, input)?;
-            let mut b = TreeBuilder::new();
-            b.pi(target, &joined_string(&items));
-            Ok(Value::Items(Sequence::singleton(b.finish(None).root())))
-        }
-        Op::DocumentNode(c) => {
-            let items = eval_items(c, ctx, input)?;
-            let mut b = TreeBuilder::new();
-            b.start_document();
-            copy_content(&mut b, &items)?;
-            b.end_document();
-            Ok(Value::Items(Sequence::singleton(
-                b.try_finish(None)?.root(),
-            )))
-        }
+        Op::Element { .. }
+        | Op::Attribute { .. }
+        | Op::Text(_)
+        | Op::Comment(_)
+        | Op::Pi { .. }
+        | Op::DocumentNode(_) => construct_node(plan, ctx, input),
         Op::TreeJoin {
             axis,
             test,
@@ -599,103 +568,4 @@ fn order_by(specs: &[OrderSpecPlan], table: Table, ctx: &mut Ctx<'_>) -> xqr_xml
         return Err(e);
     }
     Ok(keyed.into_iter().map(|(_, t)| t).collect())
-}
-
-fn resolve_name(
-    name: &NamePlan,
-    ctx: &mut Ctx<'_>,
-    input: Option<&InputVal>,
-) -> xqr_xml::Result<QName> {
-    match name {
-        NamePlan::Static(q) => Ok(q.clone()),
-        NamePlan::Dynamic(p) => {
-            let items = eval_items(p, ctx, input)?;
-            let a = atomize_optional(&items)?
-                .ok_or_else(|| XmlError::new("XPTY0004", "empty constructor name"))?;
-            match a {
-                AtomicValue::QName(q) => Ok(q),
-                other => {
-                    let s = other.string_value();
-                    match s.split_once(':') {
-                        Some((p, l)) => Ok(QName::full(Some(p), None, l)),
-                        None => Ok(QName::local(&s)),
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn joined_string(items: &Sequence) -> String {
-    items
-        .atomized()
-        .iter()
-        .map(|a| a.string_value())
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Element construction: copies content (fresh node identities), merging
-/// adjacent atomic values into space-separated text, attributes collected
-/// onto the element. Exposed for reuse by the Core interpreter.
-pub fn construct_element(name: &QName, items: &Sequence) -> xqr_xml::Result<Item> {
-    let mut b = TreeBuilder::new();
-    b.start_element(name.clone());
-    copy_content(&mut b, items)?;
-    b.end_element();
-    Ok(Item::Node(b.try_finish(None)?.root()))
-}
-
-/// Attribute construction per the spec: value is the space-joined string
-/// value of the atomized content.
-pub fn construct_attribute(name: &QName, items: &Sequence) -> xqr_xml::Result<Item> {
-    let mut b = TreeBuilder::new();
-    b.attribute(name.clone(), &joined_string(items));
-    Ok(Item::Node(b.try_finish(None)?.root()))
-}
-
-/// Text-node construction; empty content constructs no node.
-pub fn construct_text(items: &Sequence) -> xqr_xml::Result<Sequence> {
-    if items.is_empty() {
-        return Ok(Sequence::empty());
-    }
-    let mut b = TreeBuilder::new();
-    b.start_element(QName::local("#wrap"));
-    b.text(&joined_string(items));
-    b.end_element();
-    let doc = b.try_finish(None)?;
-    let wrap = doc.root();
-    let children = wrap.children();
-    if children.is_empty() {
-        return Ok(Sequence::empty());
-    }
-    Ok(Sequence::singleton(children[0].clone()))
-}
-
-fn copy_content(b: &mut TreeBuilder, items: &Sequence) -> xqr_xml::Result<()> {
-    let mut pending_text = String::new();
-    let mut prev_atomic = false;
-    for item in items.iter() {
-        match item {
-            Item::Atomic(a) => {
-                if prev_atomic {
-                    pending_text.push(' ');
-                }
-                pending_text.push_str(&a.string_value());
-                prev_atomic = true;
-            }
-            Item::Node(n) => {
-                if !pending_text.is_empty() {
-                    b.text(&pending_text);
-                    pending_text.clear();
-                }
-                prev_atomic = false;
-                b.copy_node(n);
-            }
-        }
-    }
-    if !pending_text.is_empty() {
-        b.text(&pending_text);
-    }
-    Ok(())
 }

@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::collections::HashSet;
 
+use xqr_xml::serialize::{write_node, Markup};
 use xqr_xml::{AtomicType, AtomicValue, Decimal, Item, NodeHandle, NodeKind, Sequence, XmlError};
 
 use crate::compare::{
@@ -591,22 +592,7 @@ pub fn call_builtin(
             }
             Ok(bool_seq(effective_boolean_value(v)?))
         }
-        "clio:deep-distinct" => {
-            // Clio's helper: remove deep-equal duplicates, keep first
-            // occurrences. Serialization strings act as the equality key.
-            let mut seen: HashSet<String> = HashSet::new();
-            let mut out = Vec::new();
-            for item in args[0].iter() {
-                let key = match item {
-                    Item::Node(n) => xqr_xml::serialize::serialize_node(n),
-                    Item::Atomic(a) => format!("atom:{}:{}", a.type_of(), a.string_value()),
-                };
-                if seen.insert(key) {
-                    out.push(item.clone());
-                }
-            }
-            Ok(Sequence::from_vec(out))
-        }
+        "clio:deep-distinct" => Ok(deep_distinct(&args[0])),
         "compare" => {
             let a = atomize_optional(&args[0])?;
             let b = atomize_optional(&args[1])?;
@@ -1053,6 +1039,93 @@ fn deep_equal_nodes(a: &NodeHandle, b: &NodeHandle) -> bool {
                     .iter()
                     .zip(bc.iter())
                     .all(|(x, y)| deep_equal_nodes(x, y))
+        }
+    }
+}
+
+/// Clio's helper: removes deep-equal duplicates, keeping first occurrences
+/// in order. Two items are equal when their keys are: a node's key is its
+/// serialization ([`serialize_node`](xqr_xml::serialize::serialize_node)),
+/// an atomic's is `atom:TYPE:VALUE`. Keys are never built as strings. Each
+/// is hashed as the byte stream the serializer writes while it walks the
+/// arena, and a hash match is confirmed by comparing the two streams, so
+/// equality is exactly equality of the strings.
+fn deep_distinct(items: &Sequence) -> Sequence {
+    let mut kept: Vec<Item> = Vec::new();
+    // Kept items by key hash: the latest one in `heads`, each earlier one
+    // with the same hash in `next` of the one after it.
+    let mut heads: HashMap<u64, usize> = HashMap::new();
+    let mut next: Vec<Option<usize>> = Vec::new();
+    let mut scratch = String::new();
+    'items: for item in items.iter() {
+        let mut h = KeyHash::default();
+        write_key(&mut h, item);
+        let h = h.0;
+        let mut candidate = heads.get(&h).copied();
+        while let Some(k) = candidate {
+            scratch.clear();
+            write_key(&mut scratch, &kept[k]);
+            let mut m = KeyMatch {
+                expected: scratch.as_bytes(),
+                matched: 0,
+                equal: true,
+            };
+            write_key(&mut m, item);
+            if m.equal && m.matched == scratch.len() {
+                continue 'items;
+            }
+            candidate = next[k];
+        }
+        next.push(heads.insert(h, kept.len()));
+        kept.push(item.clone());
+    }
+    Sequence::from_vec(kept)
+}
+
+fn write_key<M: Markup>(out: &mut M, item: &Item) {
+    match item {
+        Item::Node(n) => write_node(out, &n.doc, n.id),
+        Item::Atomic(a) => {
+            out.put("atom:");
+            out.put(a.type_of().name());
+            out.put(":");
+            out.put(&a.string_value());
+        }
+    }
+}
+
+/// FNV-1a over the key's bytes: the hash depends only on the byte stream,
+/// not on how the writer splits it into pieces.
+struct KeyHash(u64);
+
+impl Default for KeyHash {
+    fn default() -> Self {
+        KeyHash(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Markup for KeyHash {
+    fn put(&mut self, s: &str) {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Compares a key's byte stream against an expected key as it is written.
+struct KeyMatch<'a> {
+    expected: &'a [u8],
+    matched: usize,
+    equal: bool,
+}
+
+impl Markup for KeyMatch<'_> {
+    fn put(&mut self, s: &str) {
+        let end = self.matched + s.len();
+        if self.equal && self.expected.get(self.matched..end) == Some(s.as_bytes()) {
+            self.matched = end;
+        } else {
+            self.equal = false;
         }
     }
 }

@@ -20,7 +20,7 @@ use xqr_xml::axes::tree_join_governed;
 use xqr_xml::{AtomicValue, Governor, NodeHandle, QName, Sequence, SequenceBuilder, XmlError};
 
 use crate::compare::{atomize_optional, effective_boolean_value, order_key_compare};
-use crate::eval::{construct_attribute, construct_element, construct_text};
+use crate::construct::{construct_attribute, construct_element, construct_text};
 use crate::functions::{call_builtin, is_builtin, BuiltinCtx};
 
 /// A persistent environment: a linked list searched front-to-back — the

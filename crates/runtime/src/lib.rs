@@ -13,6 +13,8 @@
 //!   `Call[fs:*]` predicate chains that dominate the hot path, with a
 //!   per-row scalar fallback for heterogeneous rows preserving exact
 //!   semantics;
+//! * [`construct`] — the node constructors: an element writes its
+//!   content straight into one builder, nested constructors in place;
 //! * [`eval`] — the plan evaluator: XML operators, pipeline breakers, and
 //!   the tuples-to-items boundaries;
 //! * [`pipeline`] — the cursor layer, the one implementation of the
@@ -40,6 +42,7 @@
 
 pub mod batch;
 pub mod compare;
+pub mod construct;
 pub mod context;
 pub mod eval;
 pub mod functions;

@@ -77,10 +77,7 @@ impl TreeBuilder {
     }
 
     pub fn attribute(&mut self, name: QName, value: &str) -> NodeId {
-        let mut d = NodeData::new(NodeKind::Attribute);
-        d.name = Some(name);
-        d.value = Some(value.into());
-        self.push_node(d)
+        self.push_value(NodeKind::Attribute, Some(name), value.into())
     }
 
     /// An attribute carrying a type annotation and typed value.
@@ -100,81 +97,109 @@ impl TreeBuilder {
     /// Appends a text node; consecutive text nodes are merged, and empty
     /// text is dropped, per the data model's construction rules.
     pub fn text(&mut self, content: &str) {
-        if content.is_empty() {
-            return;
+        if !content.is_empty() && !self.merge_text(content) {
+            self.push_value(NodeKind::Text, None, content.into());
         }
-        if let Some(&parent) = self.stack.last() {
-            if let Some(&last) = self.nodes[parent.0 as usize].children.last() {
-                if self.nodes[last.0 as usize].kind == NodeKind::Text {
-                    let existing = self.nodes[last.0 as usize].value.take().unwrap_or_default();
-                    let merged: Rc<str> = format!("{existing}{content}").into();
-                    self.nodes[last.0 as usize].value = Some(merged);
-                    return;
-                }
-            }
+    }
+
+    /// [`TreeBuilder::text`] for a value that is already shared: a text
+    /// node that starts a run keeps the caller's string instead of a copy.
+    fn text_shared(&mut self, content: &Rc<str>) {
+        if !content.is_empty() && !self.merge_text(content) {
+            self.push_value(NodeKind::Text, None, Rc::clone(content));
         }
-        let mut d = NodeData::new(NodeKind::Text);
-        d.value = Some(content.into());
-        self.push_node(d);
+    }
+
+    /// Appends `content` to the open node's last child when that child is a
+    /// text node; false when there is none to merge into.
+    fn merge_text(&mut self, content: &str) -> bool {
+        let Some(&parent) = self.stack.last() else {
+            return false;
+        };
+        let Some(&last) = self.nodes[parent.0 as usize].children.last() else {
+            return false;
+        };
+        let last = &mut self.nodes[last.0 as usize];
+        if last.kind != NodeKind::Text {
+            return false;
+        }
+        let existing = last.value.take().unwrap_or_default();
+        last.value = Some(format!("{existing}{content}").into());
+        true
+    }
+
+    fn push_value(&mut self, kind: NodeKind, name: Option<QName>, value: Rc<str>) -> NodeId {
+        let mut d = NodeData::new(kind);
+        d.name = name;
+        d.value = Some(value);
+        self.push_node(d)
     }
 
     pub fn comment(&mut self, content: &str) {
-        let mut d = NodeData::new(NodeKind::Comment);
-        d.value = Some(content.into());
-        self.push_node(d);
+        self.push_value(NodeKind::Comment, None, content.into());
     }
 
     pub fn pi(&mut self, target: &str, content: &str) {
-        let mut d = NodeData::new(NodeKind::Pi);
-        d.name = Some(QName::local(target));
-        d.value = Some(content.into());
-        self.push_node(d);
+        self.push_value(NodeKind::Pi, Some(QName::local(target)), content.into());
+    }
+
+    /// Whether the open node is an element that already has a child —
+    /// text, element, comment or PI. An attribute written after one is
+    /// `XQTY0024`.
+    pub fn element_has_children(&self) -> bool {
+        self.stack.last().is_some_and(|&p| {
+            let open = &self.nodes[p.0 as usize];
+            open.kind == NodeKind::Element && !open.children.is_empty()
+        })
     }
 
     /// Deep-copies an existing node (and its subtree) into the builder,
     /// preserving type annotations. This is what element construction does
-    /// with enclosed node sequences.
+    /// with enclosed node sequences. The copy walks the source arena by
+    /// id, reserves each element's child and attribute lists exactly, and
+    /// shares the source's string values (a copied text node that merges
+    /// into a preceding one still concatenates).
     pub fn copy_node(&mut self, node: &NodeHandle) {
-        match node.kind() {
+        self.copy_from(&node.doc, node.id);
+    }
+
+    fn copy_from(&mut self, doc: &Document, id: NodeId) {
+        let src = doc.data(id);
+        match src.kind {
             NodeKind::Document => {
-                for c in node.children() {
-                    self.copy_node(&c);
+                for &c in &src.children {
+                    self.copy_from(doc, c);
                 }
             }
             NodeKind::Element => {
-                let data = node.data();
-                self.start_element(data.name.clone().expect("element has a name"));
-                if let Some(&id) = self.stack.last() {
-                    self.nodes[id.0 as usize].type_name = data.type_name.clone();
-                    self.nodes[id.0 as usize].typed_value = data.typed_value.clone();
+                let mut d = NodeData::new(NodeKind::Element);
+                d.name = src.name.clone();
+                d.type_name = src.type_name.clone();
+                d.typed_value = src.typed_value.clone();
+                d.attributes = Vec::with_capacity(src.attributes.len());
+                d.children = Vec::with_capacity(src.children.len());
+                let copy = self.push_node(d);
+                self.stack.push(copy);
+                for &a in &src.attributes {
+                    self.copy_from(doc, a);
                 }
-                for a in node.attributes() {
-                    self.copy_node(&a);
+                for &c in &src.children {
+                    self.copy_from(doc, c);
                 }
-                for c in node.children() {
-                    self.copy_node(&c);
-                }
-                self.end_element();
+                self.stack.pop();
             }
-            NodeKind::Attribute => {
-                let data = node.data();
-                let id = self.attribute(
-                    data.name.clone().expect("attribute has a name"),
-                    data.value.as_deref().unwrap_or(""),
-                );
-                self.nodes[id.0 as usize].type_name = data.type_name.clone();
-                self.nodes[id.0 as usize].typed_value = data.typed_value.clone();
+            NodeKind::Text => {
+                if let Some(v) = &src.value {
+                    self.text_shared(v);
+                }
             }
-            NodeKind::Text => self.text(node.data().value.as_deref().unwrap_or("")),
-            NodeKind::Comment => self.comment(node.data().value.as_deref().unwrap_or("")),
-            NodeKind::Pi => self.pi(
-                node.data()
-                    .name
-                    .clone()
-                    .expect("pi has a target")
-                    .local_part(),
-                node.data().value.as_deref().unwrap_or(""),
-            ),
+            NodeKind::Attribute | NodeKind::Comment | NodeKind::Pi => {
+                let value = src.value.clone().unwrap_or_else(|| "".into());
+                let copy = self.push_value(src.kind, src.name.clone(), value);
+                let d = &mut self.nodes[copy.0 as usize];
+                d.type_name = src.type_name.clone();
+                d.typed_value = src.typed_value.clone();
+            }
         }
     }
 
@@ -243,6 +268,40 @@ mod tests {
         assert!(!copy.same_node(&orig));
         assert_eq!(copy.string_value(), "x");
         assert_eq!(copy.attributes()[0].string_value(), "v");
+    }
+
+    #[test]
+    fn copies_share_strings_and_merged_text_concatenates() {
+        let mut b = TreeBuilder::new();
+        b.start_element(QName::local("e"));
+        b.attribute(QName::local("k"), "v");
+        b.text("x");
+        b.end_element();
+        let d1 = b.finish(None);
+        let orig = d1.root();
+        let text = orig.children()[0].clone();
+
+        let mut b2 = TreeBuilder::new();
+        b2.start_element(QName::local("wrap"));
+        b2.copy_node(&orig);
+        b2.copy_node(&text);
+        b2.copy_node(&text);
+        b2.end_element();
+        let d2 = b2.finish(None);
+        let wrap = d2.root();
+        let copy = &wrap.children()[0];
+        let shared = |a: &NodeHandle, b: &NodeHandle| {
+            Rc::ptr_eq(
+                a.data().value.as_ref().unwrap(),
+                b.data().value.as_ref().unwrap(),
+            )
+        };
+        assert!(shared(&copy.attributes()[0], &orig.attributes()[0]));
+        assert!(shared(&copy.children()[0], &text));
+        // The second copied text node merges into the first.
+        assert_eq!(wrap.children().len(), 2);
+        assert_eq!(wrap.children()[1].string_value(), "xx");
+        assert_eq!(text.string_value(), "x");
     }
 
     #[test]

@@ -1,15 +1,33 @@
 //! Serialization of items and sequences back to XML text — the engine of
 //! the algebra's `Serialize` operator.
+//!
+//! The writer walks the node arena by id and writes names and escaped
+//! values straight into a [`Markup`] sink, so serializing allocates
+//! nothing per node. A sink need not store the text: `clio:deep-distinct`
+//! hashes and compares serializations as byte streams.
 
 use std::fmt::Write as _;
 
 use crate::item::{Item, Sequence};
-use crate::node::{NodeHandle, NodeKind};
+use crate::node::{Document, NodeHandle, NodeId, NodeKind};
+use crate::qname::QName;
+
+/// Where serialized markup goes, one piece at a time. The pieces of a
+/// node, concatenated, are its [`serialize_node`] string.
+pub trait Markup {
+    fn put(&mut self, s: &str);
+}
+
+impl Markup for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
 
 /// Serializes one node to markup.
 pub fn serialize_node(node: &NodeHandle) -> String {
     let mut out = String::new();
-    write_node(&mut out, node);
+    write_node(&mut out, &node.doc, node.id);
     out
 }
 
@@ -28,7 +46,7 @@ pub fn serialize_sequence(seq: &Sequence) -> String {
                 prev_atomic = true;
             }
             Item::Node(n) => {
-                write_node(&mut out, n);
+                write_node(&mut out, &n.doc, n.id);
                 prev_atomic = false;
             }
         }
@@ -36,155 +54,163 @@ pub fn serialize_sequence(seq: &Sequence) -> String {
     out
 }
 
-fn write_node(out: &mut String, node: &NodeHandle) {
-    match node.kind() {
+/// Writes the markup of node `id` of `doc` into `out`.
+pub fn write_node<M: Markup>(out: &mut M, doc: &Document, id: NodeId) {
+    let data = doc.data(id);
+    let value = data.value.as_deref().unwrap_or("");
+    match data.kind {
         NodeKind::Document => {
-            for c in node.children() {
-                write_node(out, &c);
+            for &c in &data.children {
+                write_node(out, doc, c);
             }
         }
         NodeKind::Element => {
-            let name = node.name().expect("element has a name").lexical();
-            let _ = write!(out, "<{name}");
-            for a in node.attributes() {
-                let _ = write!(
-                    out,
-                    " {}=\"{}\"",
-                    a.name().expect("attribute has a name").lexical(),
-                    escape_attr(a.data().value.as_deref().unwrap_or(""))
-                );
+            let name = data.name.as_ref().expect("element has a name");
+            out.put("<");
+            put_name(out, name);
+            for &a in &data.attributes {
+                out.put(" ");
+                write_node(out, doc, a);
             }
             // Emit a namespace declaration for elements whose QName carries
             // a URI but no ancestor declared it; keep it simple: redeclare on
             // every element whose own name has a URI differing from parent's.
-            if let Some(uri) = node.name().unwrap().uri() {
-                let parent_uri = node
-                    .parent()
-                    .and_then(|p| p.name().and_then(|n| n.uri().map(String::from)));
-                if parent_uri.as_deref() != Some(uri) {
-                    match node.name().unwrap().prefix() {
+            if let Some(uri) = name.uri() {
+                let parent_uri = data
+                    .parent
+                    .and_then(|p| doc.data(p).name.as_ref())
+                    .and_then(QName::uri);
+                if parent_uri != Some(uri) {
+                    match name.prefix() {
                         Some(p) => {
-                            let _ = write!(out, " xmlns:{p}=\"{}\"", escape_attr(uri));
+                            out.put(" xmlns:");
+                            out.put(p);
+                            out.put("=\"");
                         }
-                        None => {
-                            let _ = write!(out, " xmlns=\"{}\"", escape_attr(uri));
-                        }
+                        None => out.put(" xmlns=\""),
                     }
+                    put_escaped(out, uri, true);
+                    out.put("\"");
                 }
             }
-            let children = node.children();
-            if children.is_empty() {
-                out.push_str("/>");
+            if data.children.is_empty() {
+                out.put("/>");
             } else {
-                out.push('>');
-                for c in children {
-                    write_node(out, &c);
+                out.put(">");
+                for &c in &data.children {
+                    write_node(out, doc, c);
                 }
-                let _ = write!(out, "</{name}>");
+                out.put("</");
+                put_name(out, name);
+                out.put(">");
             }
         }
-        NodeKind::Text => out.push_str(&escape_text(node.data().value.as_deref().unwrap_or(""))),
+        NodeKind::Text => put_escaped(out, value, false),
         NodeKind::Comment => {
-            let _ = write!(out, "<!--{}-->", node.data().value.as_deref().unwrap_or(""));
+            out.put("<!--");
+            out.put(value);
+            out.put("-->");
         }
         NodeKind::Pi => {
-            let _ = write!(
-                out,
-                "<?{} {}?>",
-                node.name().expect("pi has a target").local_part(),
-                node.data().value.as_deref().unwrap_or("")
-            );
+            out.put("<?");
+            out.put(data.name.as_ref().expect("pi has a target").local_part());
+            out.put(" ");
+            out.put(value);
+            out.put("?>");
         }
         NodeKind::Attribute => {
             // A free-standing attribute serializes as name="value".
-            let _ = write!(
-                out,
-                "{}=\"{}\"",
-                node.name().expect("attribute has a name").lexical(),
-                escape_attr(node.data().value.as_deref().unwrap_or(""))
-            );
+            put_name(out, data.name.as_ref().expect("attribute has a name"));
+            out.put("=\"");
+            put_escaped(out, value, true);
+            out.put("\"");
         }
     }
+}
+
+/// The lexical name, `prefix:local` or `local`.
+fn put_name<M: Markup>(out: &mut M, name: &QName) {
+    if let Some(p) = name.prefix() {
+        out.put(p);
+        out.put(":");
+    }
+    out.put(name.local_part());
+}
+
+/// Escapes character data (`attr = false`: `<`, `>`, `&`) or a
+/// double-quoted attribute value (`attr = true`: `<`, `&`, `"`) into `out`.
+fn put_escaped<M: Markup>(out: &mut M, s: &str, attr: bool) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'<' => "&lt;",
+            b'&' => "&amp;",
+            b'>' if !attr => "&gt;",
+            b'"' if attr => "&quot;",
+            _ => continue,
+        };
+        out.put(&s[start..i]);
+        out.put(entity);
+        start = i + 1;
+    }
+    out.put(&s[start..]);
 }
 
 /// Serializes one node with two-space indentation (for human inspection;
 /// whitespace-sensitive mixed content is kept inline).
 pub fn serialize_node_pretty(node: &NodeHandle) -> String {
     let mut out = String::new();
-    write_pretty(&mut out, node, 0);
+    write_pretty(&mut out, &node.doc, node.id, 0);
     out
 }
 
-fn write_pretty(out: &mut String, node: &NodeHandle, depth: usize) {
-    match node.kind() {
+fn write_pretty(out: &mut String, doc: &Document, id: NodeId, depth: usize) {
+    let data = doc.data(id);
+    match data.kind {
         NodeKind::Document => {
-            for c in node.children() {
-                write_pretty(out, &c, depth);
+            for &c in &data.children {
+                write_pretty(out, doc, c, depth);
             }
         }
         NodeKind::Element => {
-            let name = node.name().expect("element has a name").lexical();
-            let _ = write!(out, "{}<{name}", "  ".repeat(depth));
-            for a in node.attributes() {
-                let _ = write!(
-                    out,
-                    " {}=\"{}\"",
-                    a.name().expect("attribute has a name").lexical(),
-                    escape_attr(a.data().value.as_deref().unwrap_or(""))
-                );
+            let name = data.name.as_ref().expect("element has a name");
+            let _ = write!(out, "{}<", "  ".repeat(depth));
+            put_name(out, name);
+            for &a in &data.attributes {
+                out.push(' ');
+                write_node(out, doc, a);
             }
-            let children = node.children();
+            let children = &data.children;
             if children.is_empty() {
                 out.push_str("/>\n");
-            } else if children.iter().all(|c| c.kind() == NodeKind::Element) {
+            } else if children
+                .iter()
+                .all(|&c| doc.kind_of(c) == NodeKind::Element)
+            {
                 out.push_str(">\n");
-                for c in children {
-                    write_pretty(out, &c, depth + 1);
+                for &c in children {
+                    write_pretty(out, doc, c, depth + 1);
                 }
-                let _ = writeln!(out, "{}</{name}>", "  ".repeat(depth));
+                let _ = write!(out, "{}</", "  ".repeat(depth));
+                put_name(out, name);
+                out.push_str(">\n");
             } else {
                 // Mixed or text content: keep inline to preserve values.
                 out.push('>');
-                for c in children {
-                    write_node(out, &c);
+                for &c in children {
+                    write_node(out, doc, c);
                 }
-                let _ = writeln!(out, "</{name}>");
+                out.push_str("</");
+                put_name(out, name);
+                out.push_str(">\n");
             }
         }
         _ => {
             let _ = write!(out, "{}", "  ".repeat(depth));
-            write_node(out, node);
+            write_node(out, doc, id);
             out.push('\n');
         }
     }
-}
-
-/// Escapes character data.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes attribute values (double-quote delimited).
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -223,6 +249,24 @@ mod tests {
             AtomicValue::string("x"),
         ]);
         assert_eq!(serialize_sequence(&seq), "1 2 x");
+    }
+
+    #[test]
+    fn namespace_declarations_follow_the_parent() {
+        let d = parse_document(
+            r#"<p:a xmlns:p="urn:x" k="&quot;&lt;&amp;>"><p:b/><c xmlns="urn:y">t&gt;"<d/></c></p:a>"#,
+            &ParseOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            serialize_node(&d.root()),
+            r#"<p:a k="&quot;&lt;&amp;>" xmlns:p="urn:x"><p:b/><c xmlns="urn:y">t&gt;"<d/></c></p:a>"#
+        );
+        // A non-root node declares its namespace only when its parent's
+        // differs: `<d/>` sits under `<c>` in the same namespace.
+        let c = &d.root().children()[0].children()[1];
+        assert_eq!(serialize_node(&c.children()[1]), "<d/>");
+        assert_eq!(serialize_node(c), r#"<c xmlns="urn:y">t&gt;"<d/></c>"#);
     }
 
     #[test]

@@ -1,0 +1,83 @@
+//! Allocation counts of the two nested-construction workloads: Clio N3
+//! over a 30 KB DBLP document and XMark Q10 over a 100 KB auction
+//! document, one warm run each (prepare excluded, serialization included).
+//!
+//! Allocation is deterministic where wall-clock is not: the same run
+//! allocates the same number of blocks every time. So this guards the
+//! write-once construction (nested constructors build into their parent's
+//! builder, copies share strings, `clio:deep-distinct` hashes instead of
+//! serializing) without a timer.
+//!
+//! The test is alone in its binary because the counter is the global
+//! allocator: a second test running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use xqr::engine::{CompileOptions, Engine};
+use xqr_clio::{generate_dblp, mapping_query, DblpOptions};
+use xqr_xmark::{generate, query, GenOptions};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) of one run of
+/// `q`, serialized, after one warm-up run that builds the document's lazy
+/// indexes.
+fn allocations(e: &Engine, q: &str) -> u64 {
+    let p = e.prepare(q, &CompileOptions::default()).unwrap();
+    let warm = p.run_to_string(e).unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = p.run_to_string(e).unwrap();
+    let n = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(out, warm);
+    n
+}
+
+#[test]
+fn nested_construction_allocates_at_most_six_tenths_of_the_copying_build() {
+    let mut clio = Engine::new();
+    clio.bind_document("dblp.xml", &generate_dblp(&DblpOptions::for_bytes(30_000)))
+        .unwrap();
+    let mut xmark = Engine::new();
+    xmark
+        .bind_document("auction.xml", &generate(&GenOptions::for_bytes(100_000)))
+        .unwrap();
+
+    // Before write-once construction (each constructor finished its own
+    // document and its parent deep-copied it, copies re-allocated every
+    // string, and deep-distinct keyed on serialized strings) one run
+    // allocated 1 676 373 blocks for N3 and 41 000 for Q10.
+    const N3_COPYING: u64 = 1_676_373;
+    const Q10_COPYING: u64 = 41_000;
+    let n3 = allocations(&clio, &mapping_query(3));
+    let q10 = allocations(&xmark, query(10));
+    eprintln!("allocations per run: clio N3 {n3}, xmark Q10 {q10}");
+    assert!(n3 * 10 <= N3_COPYING * 6, "N3 allocated {n3} blocks");
+    assert!(q10 * 10 <= Q10_COPYING * 6, "Q10 allocated {q10} blocks");
+}

@@ -452,6 +452,100 @@ fn governed_budgets_agree() {
     }
 }
 
+/// Constructors written into their parent's builder: node identity and
+/// order through nested constructors, text merging across content parts,
+/// dynamic names, nested attribute/text/comment/PI constructors, and
+/// errors raised inside nested content (the same code, and the first
+/// error, as the interpreter's finish-then-copy). Every mode, the oracle
+/// included, runs under one strict budget, and the results must agree.
+#[test]
+fn constructor_corpus() {
+    let mut e = Engine::new();
+    e.bind_document("bib.xml", BIB).unwrap();
+    let strict = Limits::none()
+        .with_max_tuples(20_000)
+        .with_max_bytes(16 << 20)
+        .with_deadline(Duration::from_secs(10));
+    let cases: &[(&str, Result<&str, &str>)] = &[
+        // Identity and order through nested constructors.
+        (
+            "let $e := <a><b/><c/></a> \
+             return ($e/b is $e/b, $e/b << $e/c, $e/b/.. is $e, count($e/* | $e/*))",
+            Ok("true true true 2"),
+        ),
+        (
+            "let $b := <b/> let $a := <a>{$b}</a> return ($a/b is $b, count(($a/b, $b) | $b))",
+            Ok("false 2"),
+        ),
+        ("name((<a><b><c/></b></a>)/b/c/../..)", Ok("a")),
+        (
+            "let $t := text {'x'} return (count($t/..), <a>{$t}</a>)",
+            Ok("0<a>x</a>"),
+        ),
+        // Text merging across parts.
+        ("<a>{1}<b/>{2, 3}</a>", Ok("<a>1<b/>2 3</a>")),
+        ("<a>x{1}<b>{2}</b>y</a>", Ok("<a>x1<b>2</b>y</a>")),
+        ("<a>{1}{2}</a>", Ok("<a>1 2</a>")),
+        (
+            "<a>{1}{text {''}}{2}{text {'t'}}{3}</a>",
+            Ok("<a>1 2t3</a>"),
+        ),
+        ("<a>{<b>x</b>/text()}y{<c/>}</a>", Ok("<a>xy<c/></a>")),
+        ("<a>{document {<b/>, 't'}}{1}</a>", Ok("<a><b/>t1</a>")),
+        (
+            "<r>{for $i in (1, 2) return <i n='{$i}'>{$i, <j/>, $i}</i>}</r>",
+            Ok("<r><i n=\"1\">1<j/>1</i><i n=\"2\">2<j/>2</i></r>"),
+        ),
+        // Dynamic names, nested attribute, comment and PI constructors.
+        (
+            "<a>{element {concat('d', 'yn')} {attribute k {1, 2}, <m/>, 3}}</a>",
+            Ok("<a><dyn k=\"1 2\"><m/>3</dyn></a>"),
+        ),
+        (
+            "<a>{attribute x {'v'}}<b>{attribute y {1}}</b>{comment {'c'}}\
+             {processing-instruction p {'d'}}</a>",
+            Ok("<a x=\"v\"><b y=\"1\"/><!--c--><?p d?></a>"),
+        ),
+        ("<a>{''}{attribute x {1}}</a>", Ok("<a x=\"1\"/>")),
+        // Errors inside nested content: same code, same first error.
+        ("<a><b>{1 idiv 0}</b></a>", Err("FOAR0001")),
+        ("<a><b>{exactly-one(())}</b>{1 idiv 0}</a>", Err("FORG0005")),
+        ("<a>{element {()} {1 idiv 0}}</a>", Err("XPTY0004")),
+        (
+            "<a><b>{element {()} {1}}</b>{1 idiv 0}</a>",
+            Err("XPTY0004"),
+        ),
+        // An attribute after other content is XQTY0024 (XQuery 1.0
+        // §3.7.1.3), raised after the element's content is evaluated.
+        ("<a><b/>{attribute x {1}}</a>", Err("XQTY0024")),
+        ("<a>x{attribute x {1}}</a>", Err("XQTY0024")),
+        ("<a>{1}{attribute x {1}}</a>", Err("XQTY0024")),
+        (
+            "let $t := attribute x {1} return <a><b/>{$t}</a>",
+            Err("XQTY0024"),
+        ),
+        (
+            "<a><b><c/>{attribute x {1}}</b>{1 idiv 0}</a>",
+            Err("XQTY0024"),
+        ),
+        ("<a><b/>{attribute x {1}}{1 idiv 0}</a>", Err("FOAR0001")),
+        // Constructors over a document.
+        (
+            "<t>{for $b in doc('bib.xml')/bib/book[@year < 2000] \
+             return <b y='{$b/@year}'>{$b/title/text()}</b>}</t>",
+            Ok("<t><b y=\"1994\">TCP/IP Illustrated</b>\
+                <b y=\"1999\">The Economics of Technology</b></t>"),
+        ),
+    ];
+    for (q, want) in cases {
+        let want = want.map(str::to_string).map_err(str::to_string);
+        for mode in ALGEBRA_MODES.into_iter().chain([ORACLE]) {
+            let got = outcome(&e, q, &CompileOptions::mode(mode).limits(strict.clone()));
+            assert_eq!(got, want, "{mode:?}: {q}");
+        }
+    }
+}
+
 // ===== randomized properties ================================================
 
 fn int_list(vs: &[i64]) -> String {

@@ -5,6 +5,8 @@
 //!   correctness claim behind the Section 6 hash join;
 //! * the XML parser/serializer round-trips generated trees;
 //! * decimals round-trip their lexical forms;
+//! * `clio:deep-distinct` keeps the items a serialization-keyed dedup
+//!   keeps, in order;
 //! * the rewriter never changes query results (checked via random nested
 //!   queries).
 
@@ -374,6 +376,136 @@ proptest! {
                 "axes partition the tree around {:?}",
                 n
             );
+        }
+    }
+}
+
+// ===== clio:deep-distinct ==================================================
+
+/// Element and attribute names: prefixed and unprefixed, in no namespace,
+/// in one namespace under two prefixes, and in a default namespace.
+const DD_NAMES: [(Option<&str>, Option<&str>, &str); 5] = [
+    (None, None, "a"),
+    (None, None, "b"),
+    (Some("p"), Some("urn:x"), "a"),
+    (Some("q"), Some("urn:x"), "a"),
+    (None, Some("urn:y"), "a"),
+];
+
+/// String values, markup-significant characters included (a text node
+/// whose value reads `a="v"` serializes like the attribute `a="v"`).
+const DD_VALUES: [&str; 4] = ["v", "w x", "<&\"'>", "a=\"v\""];
+
+fn dd_name(b: u8) -> xqr::xml::QName {
+    let (prefix, uri, local) = DD_NAMES[b as usize % DD_NAMES.len()];
+    xqr::xml::QName::full(prefix, uri, local)
+}
+
+/// One small tree from a script of choices; a script that runs out reads
+/// zeros. Equal scripts make equal (but distinct) trees.
+fn dd_tree(b: &mut xqr::xml::TreeBuilder, script: &[u8], at: &mut usize, depth: usize) {
+    let mut next = || {
+        let v = script.get(*at).copied().unwrap_or(0);
+        *at += 1;
+        v
+    };
+    b.start_element(dd_name(next()));
+    for _ in 0..next() % 3 {
+        let name = dd_name(next());
+        b.attribute(name, DD_VALUES[next() as usize % DD_VALUES.len()]);
+    }
+    let children = if depth < 3 { next() % 4 } else { 0 };
+    for _ in 0..children {
+        let value = DD_VALUES[script.get(*at + 1).copied().unwrap_or(0) as usize % DD_VALUES.len()];
+        let kind = script.get(*at).copied().unwrap_or(0) % 5;
+        *at += 2;
+        match kind {
+            0 | 1 => dd_tree(b, script, at, depth + 1),
+            2 => b.text(value),
+            3 => b.comment(value),
+            _ => b.pi("t", value),
+        }
+    }
+    b.end_element();
+}
+
+/// The reference: keys are the serialized strings themselves.
+fn deep_distinct_by_string(items: &[xqr::xml::Item]) -> Vec<xqr::xml::Item> {
+    use xqr::xml::Item;
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    for item in items {
+        let key = match item {
+            Item::Node(n) => xqr::xml::serialize::serialize_node(n),
+            Item::Atomic(a) => format!("atom:{}:{}", a.type_of(), a.string_value()),
+        };
+        if seen.insert(key) {
+            out.push(item.clone());
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `clio:deep-distinct` keeps exactly the items the serialization-keyed
+    /// dedup keeps, in the same order: over roots, documents, non-root
+    /// elements, attributes, text, comments, PIs and atomics.
+    #[test]
+    fn deep_distinct_matches_serialization_keys(
+        scripts in prop::collection::vec(prop::collection::vec(0u8..6, 0..14), 1..6),
+        picks in prop::collection::vec(0usize..1000, 0..40),
+    ) {
+        use xqr::xml::{AtomicValue, Item, Sequence, TreeBuilder};
+        let mut pool: Vec<Item> = vec![
+            Item::Atomic(AtomicValue::Integer(1)),
+            Item::Atomic(AtomicValue::string("1")),
+            Item::Atomic(AtomicValue::untyped("1")),
+            Item::Atomic(AtomicValue::string("v")),
+        ];
+        for script in &scripts {
+            // Each script twice, once under a document node: equal
+            // structure, distinct identity, and a document that
+            // serializes like its element.
+            for in_document in [false, true] {
+                let mut b = TreeBuilder::new();
+                if in_document {
+                    b.start_document();
+                }
+                dd_tree(&mut b, script, &mut 0, 0);
+                if in_document {
+                    b.end_document();
+                }
+                let root = b.finish(None).root();
+                pool.push(Item::Node(root.clone()));
+                let elements = std::iter::once(root.clone()).chain(root.descendants());
+                for n in elements {
+                    pool.extend(n.attributes().into_iter().map(Item::Node));
+                    if n.id != root.id {
+                        pool.push(Item::Node(n));
+                    }
+                }
+            }
+        }
+        let items: Vec<Item> = picks.iter().map(|&k| pool[k % pool.len()].clone()).collect();
+        let expected = deep_distinct_by_string(&items);
+        let got = xqr::runtime::functions::call_builtin(
+            "clio:deep-distinct",
+            &[Sequence::from_vec(items)],
+            &xqr::runtime::functions::BuiltinCtx::none(),
+        )
+        .unwrap();
+        prop_assert_eq!(got.len(), expected.len());
+        for (g, x) in got.iter().zip(&expected) {
+            let same = match (g, x) {
+                (Item::Node(a), Item::Node(b)) => a.same_node(b),
+                (Item::Atomic(a), Item::Atomic(b)) => {
+                    a.type_of() == b.type_of() && a.string_value() == b.string_value()
+                }
+                _ => false,
+            };
+            prop_assert!(same, "kept {g:?}, the reference kept {x:?}");
         }
     }
 }
