@@ -387,6 +387,14 @@ impl Normalizer {
             "last" if args.is_empty() => return CoreExpr::var(FS_LAST),
             "true" if args.is_empty() => return CoreExpr::boolean(true),
             "false" if args.is_empty() => return CoreExpr::boolean(false),
+            // The zero-argument forms take the context item: `f()` is
+            // `f(.)`, which raises XPDY0002 where there is none.
+            "name" | "local-name" | "namespace-uri" | "string" | "number" | "string-length"
+            | "normalize-space" | "root"
+                if args.is_empty() =>
+            {
+                return CoreExpr::call(&canonical, vec![CoreExpr::var(FS_DOT)]);
+            }
             _ => {}
         }
         // Constructor functions: `xs:decimal(E)` ≡ `E cast as xs:decimal?`.

@@ -9,8 +9,7 @@
 //!
 //! * [`NlJoinKernel`] — a nested-loop join predicate
 //!   `op(outer_expr, inner_expr)` whose operands each read only one
-//!   side's fields (a [`SidedComparison`], which the indexed join's
-//!   memoized residual conjuncts reuse). The inner operand is evaluated
+//!   side's fields. The inner operand is evaluated
 //!   **once per inner row** (memoized in predicate-argument order during
 //!   the first probe, so the first probe's evaluation order — and
 //!   therefore the first dynamic error — matches the scalar path
@@ -47,9 +46,9 @@ use xqr_xml::{AtomicType, AtomicValue, XmlError};
 use crate::compare::{atomize_optional, general_pair, value_compare, CmpOp};
 use crate::context::Ctx;
 use crate::eval::eval_dep_items;
-use crate::joins::split_by_side;
+use crate::joins::{joined, split_by_side};
 use crate::profile::OpStats;
-use crate::value::{InputVal, Table, Tuple};
+use crate::value::{InputVal, NullFlag, Table, Tuple};
 
 /// Default number of tuples pulled per `next_batch` call. Budgets still
 /// apply per tuple (the governor ticks inside the batch loop), so a batch
@@ -277,28 +276,30 @@ enum LaneVals {
     I64(Vec<Option<i64>>),
 }
 
-/// A fusable comparison `op(a, b)` whose operands each read one join
-/// side — the shape the nested-loop kernel and the indexed probe's
-/// memoized residual conjuncts share. Either operand's atoms for a given
-/// tuple can be computed once and compared any number of times.
-pub(crate) struct SidedComparison<'p> {
+/// A fused nested-loop join predicate: a fusable comparison `op(a, b)`
+/// whose operands each read one join side, plus the per-open
+/// inner-operand cache and comparison lane.
+pub(crate) struct NlJoinKernel<'p> {
     op: CmpOp,
     general: bool,
-    pub(crate) outer: FusedOperand<'p>,
-    pub(crate) inner: FusedOperand<'p>,
+    outer: FusedOperand<'p>,
+    inner: FusedOperand<'p>,
     /// Predicate arguments were `(inner, outer)` — the inner operand is
     /// the *first* argument and evaluates first within each pair.
-    pub(crate) swapped: bool,
+    swapped: bool,
+    stats: Option<Rc<OpStats>>,
+    cache: RefCell<JoinCache>,
 }
 
-impl<'p> SidedComparison<'p> {
+impl<'p> NlJoinKernel<'p> {
     /// `Some` when the predicate has the fusable shape and
     /// [`split_by_side`] separates its operands.
     pub(crate) fn build(
         pred: &'p Plan,
         left_plan: &Plan,
         right_plan: &Plan,
-    ) -> Option<SidedComparison<'p>> {
+        stats: Option<Rc<OpStats>>,
+    ) -> Option<NlJoinKernel<'p>> {
         let ComparisonSplit {
             suffix,
             general,
@@ -306,49 +307,13 @@ impl<'p> SidedComparison<'p> {
             rhs,
             ..
         } = fusable_comparison(pred)?;
-        let op = CmpOp::by_suffix(suffix)?;
         let side = split_by_side(lhs, rhs, left_plan, right_plan)?;
-        Some(SidedComparison {
-            op,
+        Some(NlJoinKernel {
+            op: CmpOp::by_suffix(suffix)?,
             general,
             outer: FusedOperand::compile(side.outer),
             inner: FusedOperand::compile(side.inner),
             swapped: side.swapped,
-        })
-    }
-
-    /// One predicate evaluation over the operands' atoms, in predicate
-    /// argument order.
-    pub(crate) fn holds(
-        &self,
-        outer: &[AtomicValue],
-        inner: &[AtomicValue],
-    ) -> xqr_xml::Result<bool> {
-        if self.swapped {
-            pair_predicate(self.op, self.general, inner, outer)
-        } else {
-            pair_predicate(self.op, self.general, outer, inner)
-        }
-    }
-}
-
-/// A fused nested-loop join predicate: a [`SidedComparison`] plus the
-/// per-open inner-operand cache and comparison lane.
-pub(crate) struct NlJoinKernel<'p> {
-    cmp: SidedComparison<'p>,
-    stats: Option<Rc<OpStats>>,
-    cache: RefCell<JoinCache>,
-}
-
-impl<'p> NlJoinKernel<'p> {
-    pub(crate) fn build(
-        pred: &'p Plan,
-        left_plan: &Plan,
-        right_plan: &Plan,
-        stats: Option<Rc<OpStats>>,
-    ) -> Option<NlJoinKernel<'p>> {
-        Some(NlJoinKernel {
-            cmp: SidedComparison::build(pred, left_plan, right_plan)?,
             stats,
             cache: RefCell::new(JoinCache {
                 rows: Vec::new(),
@@ -357,6 +322,16 @@ impl<'p> NlJoinKernel<'p> {
                 lane: None,
             }),
         })
+    }
+
+    /// One predicate evaluation over the operands' atoms, in predicate
+    /// argument order.
+    fn holds(&self, outer: &[AtomicValue], inner: &[AtomicValue]) -> xqr_xml::Result<bool> {
+        if self.swapped {
+            pair_predicate(self.op, self.general, inner, outer)
+        } else {
+            pair_predicate(self.op, self.general, outer, inner)
+        }
     }
 
     fn fill_row(
@@ -368,7 +343,7 @@ impl<'p> NlJoinKernel<'p> {
     ) -> xqr_xml::Result<()> {
         debug_assert_eq!(k, cache.filled, "inner rows fill in order");
         let input = InputVal::Tuple(right[k].clone());
-        cache.rows[k] = Some(self.cmp.inner.eval_atoms(ctx, &input)?);
+        cache.rows[k] = Some(self.inner.eval_atoms(ctx, &input)?);
         cache.filled = k + 1;
         Ok(())
     }
@@ -379,6 +354,7 @@ impl<'p> NlJoinKernel<'p> {
         &self,
         lt: &Tuple,
         right: &Table,
+        flag: Option<&NullFlag>,
         ctx: &mut Ctx<'_>,
     ) -> xqr_xml::Result<Vec<Tuple>> {
         if right.is_empty() {
@@ -397,25 +373,22 @@ impl<'p> NlJoinKernel<'p> {
         // first. When the inner operand is the first argument, inner row
         // 0 must evaluate before the outer operand on the very first
         // probe.
-        if self.cmp.swapped && cache.filled == 0 {
+        if self.swapped && cache.filled == 0 {
             self.fill_row(cache, 0, right, ctx)?;
         }
-        let outer_atoms = self
-            .cmp
-            .outer
-            .eval_atoms(ctx, &InputVal::Tuple(lt.clone()))?;
+        let outer_atoms = self.outer.eval_atoms(ctx, &InputVal::Tuple(lt.clone()))?;
 
         let mut out = Vec::new();
-        if cache.filled == right.len() && self.cmp.general && outer_atoms.is_empty() {
+        if cache.filled == right.len() && self.general && outer_atoms.is_empty() {
             // Existential semantics: an empty operand matches nothing, and
             // with the inner cache full no operand is left to evaluate.
             return Ok(out);
         }
-        if cache.filled == right.len() && self.cmp.general && outer_atoms.len() == 1 {
+        if cache.filled == right.len() && self.general && outer_atoms.len() == 1 {
             let tx = outer_atoms[0].type_of();
             if self.ensure_lane(cache, tx) {
                 let lane = cache.lane.as_ref().expect("lane just ensured");
-                self.run_lane(lane, &outer_atoms[0], lt, right, ctx, &mut out)?;
+                self.run_lane(lane, &outer_atoms[0], (lt, right, flag), ctx, &mut out)?;
                 if let Some(s) = &self.stats {
                     s.add_fused_rows(right.len() as u64);
                 }
@@ -430,8 +403,8 @@ impl<'p> NlJoinKernel<'p> {
                 self.fill_row(cache, k, right, ctx)?;
             }
             let row = cache.rows[k].as_ref().expect("filled");
-            if self.cmp.holds(&outer_atoms, row)? {
-                out.push(lt.concat(&right[k]));
+            if self.holds(&outer_atoms, row)? {
+                out.push(joined(lt, &right[k], flag));
             }
         }
         if let Some(s) = &self.stats {
@@ -494,8 +467,7 @@ impl<'p> NlJoinKernel<'p> {
         &self,
         lane: &JoinLane,
         outer: &AtomicValue,
-        lt: &Tuple,
-        right: &Table,
+        (lt, right, flag): (&Tuple, &Table, Option<&NullFlag>),
         ctx: &mut Ctx<'_>,
         out: &mut Vec<Tuple>,
     ) -> xqr_xml::Result<()> {
@@ -505,9 +477,9 @@ impl<'p> NlJoinKernel<'p> {
                 for (k, fy) in vals.iter().enumerate() {
                     ctx.governor.tick()?;
                     if let (Some(fx), Some(fy)) = (fx, *fy) {
-                        let (a, b) = if self.cmp.swapped { (fy, fx) } else { (fx, fy) };
-                        if f64_holds(self.cmp.op, a, b) {
-                            out.push(lt.concat(&right[k]));
+                        let (a, b) = if self.swapped { (fy, fx) } else { (fx, fy) };
+                        if f64_holds(self.op, a, b) {
+                            out.push(joined(lt, &right[k], flag));
                         }
                     }
                 }
@@ -520,9 +492,9 @@ impl<'p> NlJoinKernel<'p> {
                 for (k, iy) in vals.iter().enumerate() {
                     ctx.governor.tick()?;
                     if let (Some(ix), Some(iy)) = (ix, *iy) {
-                        let (a, b) = if self.cmp.swapped { (iy, ix) } else { (ix, iy) };
-                        if i64_holds(self.cmp.op, a, b) {
-                            out.push(lt.concat(&right[k]));
+                        let (a, b) = if self.swapped { (iy, ix) } else { (ix, iy) };
+                        if i64_holds(self.op, a, b) {
+                            out.push(joined(lt, &right[k], flag));
                         }
                     }
                 }

@@ -18,11 +18,13 @@
 //!   joins").
 //!
 //! Predicate analysis splits a conjunction (nested `Cond{…}(…)` chains
-//! produced by normalizing `and`) into one hashable `fs:general-eq`
-//! equality whose sides depend on disjoint inputs ([`split_by_side`], which
-//! needs only the inner side's fields), plus residual conjuncts checked per
-//! index candidate — from memoized operands when the conjunct is itself a
-//! side-separable comparison, on the joined tuple otherwise.
+//! produced by normalizing `and`) into an index key and residual conjuncts.
+//! The key's components are the first `fs:general-eq` whose sides depend
+//! on disjoint inputs ([`split_by_side`], which needs only the inner side's
+//! fields) and every further one whose operands [`cannot_raise`]: build and
+//! probe emit the cross product of the components' keys, so the index
+//! returns exactly the pairs that satisfy them all. The residual conjuncts
+//! run per index candidate, on the joined tuple.
 //!
 //! A join is two halves: a [`JoinProbe`] (the analysis, borrowed from the
 //! plan, redone per open) and a [`JoinBuild`] (the materialized inner
@@ -30,7 +32,6 @@
 //! and shared by the rest, so a correlated join in a per-partition plan
 //! costs one build per run rather than one per partition.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
@@ -38,14 +39,13 @@ use xqr_core::algebra::{Op, Plan};
 use xqr_core::fields::{output_fields, passes_whole_input, used_input_fields};
 use xqr_core::fuse::uses_input;
 use xqr_types::convert::{comparable_types, promote_to_simple_types};
-use xqr_xml::{AtomicType, AtomicValue};
+use xqr_xml::{AtomicType, AtomicValue, Axis, KindTest, NodeTest};
 
-use crate::batch::SidedComparison;
 use crate::compare::effective_boolean_value;
 use crate::context::{Ctx, JoinAlgorithm};
 use crate::eval::eval_dep_items;
 use crate::profile::OpStats;
-use crate::value::{InputVal, Table, Tuple};
+use crate::value::{InputVal, NullFlag, Table, Tuple};
 
 /// How one join open probes its inner side: the plan-borrowing half of a
 /// join (the materialized half is [`JoinBuild`]). `pipeline::JoinCursor`
@@ -62,47 +62,36 @@ pub(crate) enum JoinProbe<'p> {
         pred: &'p Plan,
         kernel: Option<crate::batch::NlJoinKernel<'p>>,
     },
-    /// Fig. 6 hash/B-tree index over the inner side's key values; the
-    /// other conjuncts run per candidate.
-    Indexed {
-        split: SplitPredicate<'p>,
-        residual: Vec<Residual<'p>>,
-    },
+    /// Fig. 6 hash/B-tree index over the inner side's composite key
+    /// values; the residual conjuncts run per candidate.
+    Indexed(SplitPredicate<'p>),
 }
 
-/// A non-key conjunct of an indexed join, checked per index candidate.
-pub(crate) enum Residual<'p> {
-    /// A fusable comparison whose operands separate by side: the outer
-    /// operand evaluates once per outer tuple and the inner operand once
-    /// per inner row (memoized in the [`JoinBuild`]), both lazily at the
-    /// first candidate that reaches this conjunct — where the per-pair
-    /// evaluation would have evaluated them first, so the same dynamic
-    /// error surfaces at the same point. Counters land on the conjunct's
-    /// plan node: `batches` outer tuples, `fallback` candidates compared.
-    Memoized(SidedComparison<'p>, Option<Rc<OpStats>>),
-    /// Anything else: evaluated on the joined tuple.
-    PerPair(&'p Plan),
-}
-
-/// The materialized inner side of a join: the table, for an indexed join
-/// the Fig. 6 index over it, and the memoized residuals' inner operands.
-/// Built per open — or once per run, shared by `Rc` through
-/// [`Ctx::shared_join_build`], when the inner side is loop-invariant.
+/// The materialized inner side of a join: the table and, for an indexed
+/// join, the Fig. 6 index over it. Built per open — or once per run,
+/// shared by `Rc` through [`Ctx::shared_join_build`], when the inner side
+/// is loop-invariant.
 pub(crate) struct JoinBuild {
     pub(crate) right: Table,
     index: Option<KeyIndex>,
-    /// Per residual conjunct (empty for a `PerPair` one), the inner
-    /// operand's atoms per inner row, filled on first use.
-    memo: Vec<RefCell<Vec<Option<Vec<AtomicValue>>>>>,
-    /// The index's and the memoized operands' live-byte accounting:
-    /// releases back to the governor when the build drops.
-    charge: RefCell<xqr_xml::ByteCharge>,
+    /// The index's live-byte accounting: releases back to the governor
+    /// when the build drops.
+    _charge: xqr_xml::ByteCharge,
+}
+
+/// One joined output tuple, `lt ++ rt`, flagged as matched when the join
+/// is an outer join.
+pub(crate) fn joined(lt: &Tuple, rt: &Tuple, flag: Option<&NullFlag>) -> Tuple {
+    match flag {
+        Some(f) => f.joined(lt, rt),
+        None => lt.concat(rt),
+    }
 }
 
 impl<'p> JoinProbe<'p> {
     /// Picks the physical join for one open. `shared_build` says whether
     /// the build will be kept for later opens (see [`analyze_predicate`]);
-    /// `stats_for` finds a conjunct's profile counters, if any are kept.
+    /// `stats_for` finds the predicate's profile counters, if any are kept.
     pub(crate) fn plan(
         pred: &'p Plan,
         left_plan: &'p Plan,
@@ -116,19 +105,7 @@ impl<'p> JoinProbe<'p> {
             _ => analyze_predicate(pred, left_plan, right_plan, shared_build),
         };
         match split {
-            Some(split) => {
-                let residual = split
-                    .residual
-                    .iter()
-                    .map(
-                        |&c| match SidedComparison::build(c, left_plan, right_plan) {
-                            Some(cmp) => Residual::Memoized(cmp, stats_for(c)),
-                            None => Residual::PerPair(c),
-                        },
-                    )
-                    .collect();
-                JoinProbe::Indexed { split, residual }
-            }
+            Some(split) => JoinProbe::Indexed(split),
             // The kernel's counters land on the predicate's own plan node,
             // so `EXPLAIN ANALYZE` shows batches/fused/fallback on the
             // `Call` line.
@@ -147,34 +124,27 @@ impl<'p> JoinProbe<'p> {
     /// Materializes this probe's half of the join over the inner table.
     pub(crate) fn build(&self, right: Table, ctx: &mut Ctx<'_>) -> xqr_xml::Result<JoinBuild> {
         let mut charge = xqr_xml::ByteCharge::new(&ctx.governor);
-        let (index, memo) = match self {
-            JoinProbe::NestedLoop { .. } => (None, Vec::new()),
-            JoinProbe::Indexed { split, residual } => (
-                Some(materialize(&right, split, ctx, &mut charge)?),
-                residual
-                    .iter()
-                    .map(|r| match r {
-                        Residual::Memoized(..) => RefCell::new(vec![None; right.len()]),
-                        Residual::PerPair(_) => RefCell::default(),
-                    })
-                    .collect(),
-            ),
+        let index = match self {
+            JoinProbe::NestedLoop { .. } => None,
+            JoinProbe::Indexed(split) => {
+                Some(materialize(&right, split, ctx, &mut charge, |_| true)?)
+            }
         };
         Ok(JoinBuild {
             right,
             index,
-            memo,
-            charge: RefCell::new(charge),
+            _charge: charge,
         })
     }
 
-    /// The joined output tuples for one outer tuple, in inner order; empty
-    /// means unmatched (the caller decides between dropping the tuple and
-    /// outer-join null flagging).
+    /// The joined output tuples for one outer tuple, in inner order, each
+    /// flagged as matched under `flag`; empty means unmatched (the caller
+    /// decides between dropping the tuple and outer-join null flagging).
     pub(crate) fn matches(
         &self,
         lt: &Tuple,
         build: &JoinBuild,
+        flag: Option<&NullFlag>,
         ctx: &mut Ctx<'_>,
     ) -> xqr_xml::Result<Vec<Tuple>> {
         let right = &build.right;
@@ -182,7 +152,7 @@ impl<'p> JoinProbe<'p> {
         match self {
             JoinProbe::NestedLoop { pred, kernel } => {
                 if let Some(k) = kernel {
-                    return k.matches(lt, right, ctx);
+                    return k.matches(lt, right, flag, ctx);
                 }
                 // A constant-true predicate (cross products from unnesting)
                 // skips per-pair evaluation entirely.
@@ -191,7 +161,7 @@ impl<'p> JoinProbe<'p> {
                     ctx.governor.charge_tuples(right.len() as u64)?;
                     out.reserve(right.len());
                     for rt in right {
-                        out.push(lt.concat(rt));
+                        out.push(joined(lt, rt, flag));
                     }
                     return Ok(out);
                 }
@@ -199,100 +169,59 @@ impl<'p> JoinProbe<'p> {
                     ctx.governor.tick()?;
                     // Move the joined tuple into the binding and back out:
                     // no per-pair clone.
-                    let input = InputVal::Tuple(lt.concat(rt));
+                    let input = InputVal::Tuple(joined(lt, rt, flag));
                     let v = eval_dep_items(pred, ctx, &input)?;
-                    let InputVal::Tuple(joined) = input else {
+                    let InputVal::Tuple(t) = input else {
                         unreachable!()
                     };
                     if effective_boolean_value(&v)? {
-                        out.push(joined);
+                        out.push(t);
                     }
                 }
             }
-            JoinProbe::Indexed { split, residual } => {
+            JoinProbe::Indexed(split) => {
                 let index = build
                     .index
                     .as_ref()
                     .expect("indexed probe over its own build");
-                let ms = all_matches(index, lt, split.left_key, ctx, split.specialized)?;
-                // Each memoized conjunct's outer operand, once per outer tuple.
-                let mut outer: Vec<Option<Vec<AtomicValue>>> = vec![None; residual.len()];
-                'candidates: for idx in ms {
-                    // Concatenated only when a per-pair conjunct needs it
-                    // or the candidate survives.
-                    let mut joined = None;
-                    for (i, r) in residual.iter().enumerate() {
-                        let keep = match r {
-                            Residual::Memoized(cmp, stats) => {
-                                if let Some(s) = stats {
-                                    s.add_batches(outer[i].is_none() as u64);
-                                    s.add_fallback_rows(1);
-                                }
-                                let mut rows = build.memo[i].borrow_mut();
-                                let fills = rows[idx].is_none() && ctx.governor.has_byte_budget();
-                                let keep = memoized_holds(
-                                    cmp,
-                                    (lt, &mut outer[i]),
-                                    (&right[idx], &mut rows[idx]),
-                                    ctx,
-                                )?;
-                                if fills {
-                                    // The memoized operand lives as long as
-                                    // the index: same flat per-item rate.
-                                    let atoms = rows[idx].as_ref().map_or(0, Vec::len) as u64;
-                                    build.charge.borrow_mut().add(24 + 24 * atoms)?;
-                                }
-                                keep
-                            }
-                            Residual::PerPair(p) => {
-                                let input = joined
-                                    .get_or_insert_with(|| InputVal::Tuple(lt.concat(&right[idx])));
-                                effective_boolean_value(&eval_dep_items(p, ctx, input)?)?
-                            }
-                        };
-                        if !keep {
-                            continue 'candidates;
-                        }
-                    }
-                    out.push(match joined {
-                        Some(InputVal::Tuple(t)) => t,
-                        _ => lt.concat(&right[idx]),
-                    });
-                }
+                let candidates = all_matches(index, lt, split, ctx)?;
+                keep_holding(&split.residual, lt, right, candidates, flag, ctx, |_, t| {
+                    out.push(t)
+                })?;
             }
         }
         Ok(out)
     }
 }
 
-/// One memoized residual comparison for one candidate pair: `outer` and
-/// `inner` are the operands' slots for this outer tuple and this inner
-/// row, filled on first use in predicate argument order, as the `Call`
-/// would evaluate them.
-fn memoized_holds(
-    cmp: &SidedComparison<'_>,
-    (lt, outer): (&Tuple, &mut Option<Vec<AtomicValue>>),
-    (rt, inner): (&Tuple, &mut Option<Vec<AtomicValue>>),
+/// Fig. 6 `equalityJoin`'s last step: joins `lt` with each index
+/// candidate (in inner order) and hands `emit` the joined tuples on which
+/// every residual conjunct holds — the one residual path, per pair, on the
+/// joined tuple.
+pub(crate) fn keep_holding(
+    residual: &[&Plan],
+    lt: &Tuple,
+    right: &Table,
+    candidates: Vec<usize>,
+    flag: Option<&NullFlag>,
     ctx: &mut Ctx<'_>,
-) -> xqr_xml::Result<bool> {
-    let mut fill = |operand: &crate::batch::FusedOperand<'_>,
-                    t: &Tuple,
-                    slot: &mut Option<Vec<AtomicValue>>|
-     -> xqr_xml::Result<()> {
-        if slot.is_none() {
-            *slot = Some(operand.eval_atoms(ctx, &InputVal::Tuple(t.clone()))?);
+    mut emit: impl FnMut(usize, Tuple),
+) -> xqr_xml::Result<()> {
+    'candidates: for idx in candidates {
+        // Move the joined tuple into the binding and back out: no
+        // per-pair clone.
+        let input = InputVal::Tuple(joined(lt, &right[idx], flag));
+        for p in residual {
+            if !effective_boolean_value(&eval_dep_items(p, ctx, &input)?)? {
+                continue 'candidates;
+            }
         }
-        Ok(())
-    };
-    if cmp.swapped {
-        fill(&cmp.inner, rt, inner)?;
+        let InputVal::Tuple(t) = input else {
+            unreachable!()
+        };
+        emit(idx, t);
     }
-    fill(&cmp.outer, lt, outer)?;
-    fill(&cmp.inner, rt, inner)?;
-    cmp.holds(
-        outer.as_deref().expect("just filled"),
-        inner.as_deref().expect("just filled"),
-    )
+    Ok(())
 }
 
 /// Which operand of a two-operand predicate reads which side of a join.
@@ -344,11 +273,19 @@ pub(crate) fn split_by_side<'p>(
     })
 }
 
-/// One hashable equality plus residual conjuncts.
+/// The index key (one or more equality components) plus the residual
+/// conjuncts.
 pub struct SplitPredicate<'p> {
-    pub left_key: &'p Plan,
-    pub right_key: &'p Plan,
+    /// The key's components, in predicate order; the first is the first
+    /// separable equality, the rest are those that cannot raise.
+    pub keys: Vec<KeyComponent<'p>>,
     pub residual: Vec<&'p Plan>,
+}
+
+/// One `fs:general-eq` conjunct of an index key.
+pub struct KeyComponent<'p> {
+    pub outer: &'p Plan,
+    pub inner: &'p Plan,
     /// When static analysis proves both key expressions produce the same
     /// comparable type, keys are stored/probed at that single type instead
     /// of enumerating every promotion — the specialization the paper
@@ -401,7 +338,14 @@ fn conjuncts<'p>(pred: &'p Plan, out: &mut Vec<&'p Plan>) {
     out.push(pred);
 }
 
-/// Finds an equality conjunct whose operands read disjoint input sides.
+/// Splits a join predicate into its index key and residual conjuncts.
+///
+/// The first equality conjunct whose operands read disjoint input sides is
+/// the key. A further one joins the key only when both its operands
+/// [`cannot_raise`]: the index evaluates every component for every row,
+/// where `and` evaluates a later conjunct only for pairs the earlier ones
+/// accept (`string-length($q) = $p and xs:integer($q) = $p` must not cast
+/// `"xyz"`). The general comparison itself never raises.
 ///
 /// An `IN`-rooted probe side delivers one outer tuple per open, and one
 /// probe never amortizes an index build (XMark Q9: 257 builds of 95 rows
@@ -415,27 +359,83 @@ pub fn analyze_predicate<'p>(
 ) -> Option<SplitPredicate<'p>> {
     let mut cs = Vec::new();
     conjuncts(pred, &mut cs);
-    let (idx, side) = cs.iter().enumerate().find_map(|(i, c)| {
-        let Op::Call { name, args } = &c.op else {
-            return None;
+    let mut keys: Vec<KeyComponent<'p>> = Vec::new();
+    let mut residual = Vec::new();
+    let mut in_rooted = false;
+    for c in cs {
+        let side = match &c.op {
+            Op::Call { name, args } if name.local_part() == "fs:general-eq" && args.len() == 2 => {
+                split_by_side(&args[0], &args[1], left_plan, right_plan)
+            }
+            _ => None,
         };
-        if name.local_part() != "fs:general-eq" || args.len() != 2 {
-            return None;
-        }
-        let side = split_by_side(&args[0], &args[1], left_plan, right_plan)?;
         // A constant operand is no key.
-        (uses_input(side.outer) && uses_input(side.inner)).then_some((i, side))
-    })?;
-    if side.in_rooted && !shared_build {
+        match side.filter(|s| uses_input(s.outer) && uses_input(s.inner)) {
+            Some(s)
+                if keys.is_empty()
+                    || cannot_raise(s.outer, left_plan) && cannot_raise(s.inner, right_plan) =>
+            {
+                in_rooted |= s.in_rooted;
+                let specialized = specialized_type(s.outer, s.inner);
+                let (outer, inner) = (s.outer, s.inner);
+                keys.push(KeyComponent {
+                    outer,
+                    inner,
+                    specialized,
+                });
+            }
+            _ => residual.push(c),
+        }
+    }
+    if keys.is_empty() || (in_rooted && !shared_build) {
         return None;
     }
-    cs.remove(idx);
-    Some(SplitPredicate {
-        left_key: side.outer,
-        right_key: side.inner,
-        residual: cs,
-        specialized: specialized_type(side.outer, side.inner),
-    })
+    Some(SplitPredicate { keys, residual })
+}
+
+/// Can this key operand be evaluated on every row of its side without
+/// raising? A syntactic first cut: a chain of `child`/`attribute` steps
+/// ending in `text()` or an attribute step, over an `IN` field that `side`
+/// binds per item of a step chain. Such a field holds one node (or is
+/// absent, on an outer join's padded rows), a child or attribute step over
+/// a node cannot fail, and text and attribute nodes atomize without error.
+fn cannot_raise(operand: &Plan, side: &Plan) -> bool {
+    let last = matches!(
+        &operand.op,
+        Op::TreeJoin {
+            axis: Axis::Attribute,
+            ..
+        } | Op::TreeJoin {
+            test: NodeTest::Kind(KindTest::Text),
+            ..
+        }
+    );
+    let mut p = operand;
+    while let Op::TreeJoin {
+        axis: Axis::Child | Axis::Attribute,
+        input,
+        ..
+    } = &p.op
+    {
+        p = input;
+    }
+    last && matches!(&p.op, Op::FieldAccess { field, input }
+        if matches!(input.op, Op::Input) && binds_per_node(side, field))
+}
+
+/// Does `plan` bind `field` to each node of a step chain,
+/// `MapFromItem{[field:IN]}(TreeJoin…)`? Fields are compiler-fresh, so
+/// the first binder found is the only one.
+fn binds_per_node(plan: &Plan, field: &str) -> bool {
+    match &plan.op {
+        Op::MapFromItem { dep, input }
+            if matches!(&dep.op, Op::Tuple(fs)
+            if matches!(fs.as_slice(), [(f, v)] if &**f == field && matches!(v.op, Op::Input))) =>
+        {
+            matches!(input.op, Op::TreeJoin { .. })
+        }
+        op => op.children().iter().any(|(c, _)| binds_per_node(c, field)),
+    }
 }
 
 /// Is this join's inner side the same table on every open of one run? The
@@ -481,17 +481,13 @@ pub(crate) fn describe(
 ) -> String {
     let shared = dependent && inner_side_invariant(right_plan);
     let how = match JoinProbe::plan(pred, left_plan, right_plan, shared, algo, &|_| None) {
-        JoinProbe::Indexed { split, residual } => {
-            let memoized = residual
-                .iter()
-                .filter(|r| matches!(r, Residual::Memoized(..)))
-                .count();
-            format!(
-                "index key: {} = {}; residual: {} (memoized {memoized})",
-                xqr_core::pretty::compact(split.left_key),
-                xqr_core::pretty::compact(split.right_key),
-                residual.len(),
-            )
+        JoinProbe::Indexed(split) => {
+            let compact = xqr_core::pretty::compact;
+            let key: Vec<String> = (split.keys.iter())
+                .map(|k| format!("{} = {}", compact(k.outer), compact(k.inner)))
+                .collect();
+            let residual = split.residual.len();
+            format!("index key: {}; residual: {residual}", key.join(" and "))
         }
         JoinProbe::NestedLoop { kernel, .. } => {
             let why = match algo {
@@ -513,7 +509,8 @@ pub(crate) fn describe(
 
 /// A canonical, hashable, orderable join-key value. The `(value, type)`
 /// pairs of Fig. 6 become `(AtomicType, KeyVal)` — two values collide only
-/// when they are equal *at that type*.
+/// when they are equal *at that type*. Text and binary keys share the
+/// atom's own allocation.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub(crate) enum KeyVal {
     Bool(bool),
@@ -521,42 +518,32 @@ pub(crate) enum KeyVal {
     Dec(i128),
     /// IEEE bits with -0.0 normalized; NaN keys are skipped entirely.
     Bits(u64),
-    Str(String),
+    Str(Rc<str>),
     Millis(i64),
     Months(i64, i64),
     Greg(i64),
-    Bytes(Vec<u8>),
+    Bytes(Rc<[u8]>),
     Name(String),
 }
 
-pub(crate) fn key_of(v: &AtomicValue) -> Option<(AtomicType, KeyVal)> {
+/// One component of a composite key: a Fig. 6 `(value, type)` pair.
+pub(crate) type KeyPart = (AtomicType, KeyVal);
+
+pub(crate) fn key_of(v: &AtomicValue) -> Option<KeyPart> {
     use AtomicValue as V;
+    let bits = |d: f64| {
+        // -0.0 and 0.0 are one key.
+        KeyVal::Bits(if d == 0.0 { 0 } else { d.to_bits() })
+    };
     let kv = match v {
         V::Boolean(b) => KeyVal::Bool(*b),
         V::Integer(i) => KeyVal::Int(*i),
         V::Decimal(d) => KeyVal::Dec(d.units()),
-        V::Double(d) => {
-            if d.is_nan() {
-                return None;
-            }
-            KeyVal::Bits(if *d == 0.0 {
-                0.0f64.to_bits()
-            } else {
-                d.to_bits()
-            })
-        }
-        V::Float(f) => {
-            if f.is_nan() {
-                return None;
-            }
-            let d = *f as f64;
-            KeyVal::Bits(if d == 0.0 {
-                0.0f64.to_bits()
-            } else {
-                d.to_bits()
-            })
-        }
-        V::String(s) | V::UntypedAtomic(s) | V::AnyUri(s) => KeyVal::Str(s.to_string()),
+        V::Double(d) if d.is_nan() => return None,
+        V::Double(d) => bits(*d),
+        V::Float(f) if f.is_nan() => return None,
+        V::Float(f) => bits(*f as f64),
+        V::String(s) | V::UntypedAtomic(s) | V::AnyUri(s) => KeyVal::Str(s.clone()),
         V::Date(d) => KeyVal::Millis(d.epoch_millis()),
         V::Time(t) => KeyVal::Millis(t.normalized_millis()),
         V::DateTime(dt) => KeyVal::Millis(dt.epoch_millis()),
@@ -566,151 +553,237 @@ pub(crate) fn key_of(v: &AtomicValue) -> Option<(AtomicType, KeyVal)> {
         V::GMonth(m) => KeyVal::Greg(*m as i64),
         V::GMonthDay(m, d) => KeyVal::Greg(*m as i64 * 64 + *d as i64),
         V::GDay(d) => KeyVal::Greg(*d as i64),
-        V::HexBinary(b) | V::Base64Binary(b) => KeyVal::Bytes(b.to_vec()),
+        V::HexBinary(b) | V::Base64Binary(b) => KeyVal::Bytes(b.clone()),
         V::QName(q) => KeyVal::Name(q.to_string()),
     };
     Some((v.type_of(), kv))
 }
 
-/// One hash-table entry: the original (pre-conversion) value and type, the
-/// inner tuple's index/sequence order (Fig. 6 stores "the original value
-/// and type …, the corresponding tuple value, and the ordinal position").
-#[derive(Clone, Debug)]
-pub(crate) struct Entry {
-    pub(crate) orig_value: AtomicValue,
-    pub(crate) orig_type: AtomicType,
-    pub(crate) tuple_idx: usize,
+/// One index entry: the inner tuple's index/sequence order, and where its
+/// original (pre-conversion) component values start in
+/// [`KeyIndex::origs`] (Fig. 6 stores "the original value and type …, the
+/// corresponding tuple value, and the ordinal position").
+struct Entry {
+    tuple_idx: usize,
+    origs: usize,
 }
 
 /// The two index structures share this small interface.
-pub(crate) enum KeyIndex {
-    Hash(HashMap<(AtomicType, KeyVal), Vec<Entry>>),
-    BTree(BTreeMap<(AtomicType, KeyVal), Vec<Entry>>),
+enum KeyMap {
+    Hash(HashMap<Box<[KeyPart]>, Vec<Entry>>),
+    BTree(BTreeMap<Box<[KeyPart]>, Vec<Entry>>),
 }
+
+/// The Fig. 6 index over composite keys.
+pub(crate) struct KeyIndex {
+    map: KeyMap,
+    /// Each entry's original component values, one per key component.
+    origs: Vec<AtomicValue>,
+}
+
+/// Bytes one index entry is charged at: the entry, its original values,
+/// and its share of the bucket.
+const ENTRY_BYTES: u64 = 48;
 
 impl KeyIndex {
-    pub(crate) fn new(algo: JoinAlgorithm) -> KeyIndex {
-        match algo {
-            JoinAlgorithm::Sort => KeyIndex::BTree(BTreeMap::new()),
-            _ => KeyIndex::Hash(HashMap::new()),
+    fn new(algo: JoinAlgorithm) -> KeyIndex {
+        KeyIndex {
+            map: match algo {
+                JoinAlgorithm::Sort => KeyMap::BTree(BTreeMap::new()),
+                _ => KeyMap::Hash(HashMap::new()),
+            },
+            origs: Vec::new(),
         }
     }
 
-    pub(crate) fn put(&mut self, key: (AtomicType, KeyVal), e: Entry) {
-        match self {
-            KeyIndex::Hash(m) => m.entry(key).or_default().push(e),
-            KeyIndex::BTree(m) => m.entry(key).or_default().push(e),
+    fn put(&mut self, key: &[KeyPart], origs: &[&AtomicValue], tuple_idx: usize) {
+        let e = Entry {
+            tuple_idx,
+            origs: self.origs.len(),
+        };
+        self.origs.extend(origs.iter().map(|&v| v.clone()));
+        // A key is allocated once, by the first entry under it.
+        match &mut self.map {
+            KeyMap::Hash(m) => match m.get_mut(key) {
+                Some(bucket) => bucket.push(e),
+                None => drop(m.insert(key.into(), vec![e])),
+            },
+            KeyMap::BTree(m) => match m.get_mut(key) {
+                Some(bucket) => bucket.push(e),
+                None => drop(m.insert(key.into(), vec![e])),
+            },
         }
     }
 
-    fn get(&self, key: &(AtomicType, KeyVal)) -> &[Entry] {
-        match self {
-            KeyIndex::Hash(m) => m.get(key).map(Vec::as_slice).unwrap_or(&[]),
-            KeyIndex::BTree(m) => m.get(key).map(Vec::as_slice).unwrap_or(&[]),
-        }
+    fn get(&self, key: &[KeyPart]) -> &[Entry] {
+        let bucket = match &self.map {
+            KeyMap::Hash(m) => m.get(key),
+            KeyMap::BTree(m) => m.get(key),
+        };
+        bucket.map_or(&[], Vec::as_slice)
     }
 }
 
-/// Fig. 6 `materialize`: builds the `(value, type)`-keyed index over the
-/// inner input, charging its footprint to `charge`.
-fn materialize(
+/// Which side of a join a key is computed for.
+pub(crate) enum Side {
+    Outer,
+    Inner,
+}
+
+/// Fig. 6 `promoteToSimpleTypes` over a whole key, for one tuple: each
+/// component's operand (on `side`) is evaluated and atomized, each atom
+/// promoted, and `emit` receives every composite key of the cross product
+/// of the components' promoted keys, with the original atom behind each
+/// component. A component with no key (an empty operand, only NaN) means
+/// the tuple has no key, and the components after it are not evaluated.
+/// The Grace join partitions on the same keys.
+pub(crate) fn for_each_key(
+    split: &SplitPredicate<'_>,
+    side: Side,
+    tup: &Tuple,
+    ctx: &mut Ctx<'_>,
+    mut emit: impl FnMut(&[KeyPart], &[&AtomicValue]) -> xqr_xml::Result<()>,
+) -> xqr_xml::Result<()> {
+    let input = InputVal::Tuple(tup.clone());
+    // Per component, each promoted key with the atom it came from.
+    let mut keys: Vec<Vec<(KeyPart, AtomicValue)>> = Vec::with_capacity(split.keys.len());
+    for c in &split.keys {
+        let expr = match side {
+            Side::Outer => c.outer,
+            Side::Inner => c.inner,
+        };
+        let mut ks = Vec::new();
+        for v in eval_dep_items(expr, ctx, &input)?.atomized() {
+            promoted_keys(&v, c.specialized, |k| ks.push((k, v.clone())));
+        }
+        if ks.is_empty() {
+            return Ok(());
+        }
+        keys.push(ks);
+    }
+    let total: usize = keys.iter().map(Vec::len).product();
+    let (mut key, mut origs) = (
+        Vec::with_capacity(keys.len()),
+        Vec::with_capacity(keys.len()),
+    );
+    for mut r in 0..total {
+        key.clear();
+        origs.clear();
+        for ks in &keys {
+            let (k, atom) = &ks[r % ks.len()];
+            r /= ks.len();
+            key.push(k.clone());
+            origs.push(atom);
+        }
+        emit(&key, &origs)?;
+    }
+    Ok(())
+}
+
+/// Fig. 6 `materialize`: builds the composite-key index over the inner
+/// rows, charging their footprint and one [`ENTRY_BYTES`] per entry to
+/// `charge`. `keep` filters the keys stored (the Grace join keeps a
+/// partition's own).
+pub(crate) fn materialize(
     inner: &Table,
     split: &SplitPredicate<'_>,
     ctx: &mut Ctx<'_>,
     charge: &mut xqr_xml::ByteCharge,
+    keep: impl Fn(&[KeyPart]) -> bool,
 ) -> xqr_xml::Result<KeyIndex> {
     let mut index = KeyIndex::new(ctx.join_algorithm);
+    let budget = ctx.governor.has_byte_budget();
     for (tuple_idx, tup) in inner.iter().enumerate() {
         ctx.governor.tick()?;
         xqr_xml::failpoint::check("join::build_charge")?;
-        if ctx.governor.has_byte_budget() {
-            // The index retains roughly one entry per key value per tuple;
-            // the charge releases when the build drops.
-            charge.add(tup.approx_bytes())?;
-        }
-        let key_vals =
-            eval_dep_items(split.right_key, ctx, &InputVal::Tuple(tup.clone()))?.atomized();
-        for key in key_vals {
-            for promoted in promoted_keys(&key, split.specialized) {
-                if let Some(k) = key_of(&promoted) {
-                    index.put(
-                        k,
-                        Entry {
-                            orig_value: key.clone(),
-                            orig_type: key.type_of(),
-                            tuple_idx,
-                        },
-                    );
-                }
+        let mut entries = 0;
+        for_each_key(split, Side::Inner, tup, ctx, |key, origs| {
+            if keep(key) {
+                index.put(key, origs, tuple_idx);
+                entries += 1;
             }
+            Ok(())
+        })?;
+        if budget {
+            charge.add(tup.approx_bytes() + ENTRY_BYTES * entries)?;
         }
     }
     Ok(index)
 }
 
-/// The `(value, type)` pairs for one key: the full `promoteToSimpleTypes`
-/// enumeration, or — when the join is statically specialized — the single
-/// promoted value at the comparison type (values that cannot promote there
-/// cannot match and store nothing).
+/// The `(value, type)` keys one atom is stored or probed under: the full
+/// `promoteToSimpleTypes` enumeration, or — when the component is
+/// statically specialized — the single promoted value at the comparison
+/// type (values that cannot promote there cannot match and store
+/// nothing).
 pub(crate) fn promoted_keys(
-    key: &AtomicValue,
+    v: &AtomicValue,
     specialized: Option<AtomicType>,
-) -> Vec<AtomicValue> {
+    mut emit: impl FnMut(KeyPart),
+) {
+    let mut put = |p: AtomicValue| {
+        if let Some(k) = key_of(&p) {
+            emit(k)
+        }
+    };
     match specialized {
-        None => promote_to_simple_types(key),
-        Some(t) => {
-            if key.type_of() == t {
-                vec![key.clone()]
-            } else if key.type_of().is_numeric() && t.is_numeric() {
-                xqr_types::promote_numeric(key, t)
-                    .map(|v| vec![v])
-                    .unwrap_or_default()
-            } else if t == AtomicType::String {
-                vec![AtomicValue::string(key.string_value())]
-            } else {
-                // Static prediction missed (dynamic value of another type):
-                // fall back to the full enumeration for this value.
-                promote_to_simple_types(key)
+        Some(t) if v.type_of() == t => put(v.clone()),
+        Some(t) if v.type_of().is_numeric() && t.is_numeric() => {
+            if let Ok(p) = xqr_types::promote_numeric(v, t) {
+                put(p);
             }
+        }
+        Some(AtomicType::String) => put(AtomicValue::string(v.string_value())),
+        // No specialization, or the static prediction missed (a dynamic
+        // value of another type): the full enumeration.
+        _ => promote_to_simple_types(v, put),
+    }
+}
+
+/// Does one key component match? `key_type` is the type both sides'
+/// values were promoted to for this key; `inner` and `outer` are the
+/// original values. Line 25 of Fig. 6: the original types must be
+/// comparable under Table 2 (`fs:convert-operand`). Where the comparison
+/// type is a string, numeric or boolean type, every pair equal there also
+/// shares a key at that type, and key equality at it is value equality:
+/// the match is exactly `key_type` being that type. Elsewhere `op:equal`
+/// rechecks the original values, since promoted keys can collide (and an
+/// untyped value meets an `xs:anyURI` only under their string keys).
+fn component_matches(key_type: AtomicType, inner: &AtomicValue, outer: &AtomicValue) -> bool {
+    use AtomicType as T;
+    match comparable_types(inner.type_of(), outer.type_of()) {
+        None => false,
+        Some(t) if t == T::String || t == T::Boolean || t.is_numeric() => t == key_type,
+        Some(_) => {
+            crate::compare::value_compare(crate::compare::CmpOp::Eq, inner, outer).unwrap_or(false)
         }
     }
 }
 
-/// Fig. 6 `allMatches`: probes the index with one outer tuple's key values,
-/// checks the original types against Table 2, and returns inner tuple
-/// indices sorted by the inner sequence order with duplicates removed.
+/// Fig. 6 `allMatches`: probes the index with each of one outer tuple's
+/// composite keys, checks each component against Table 2, and returns
+/// inner tuple indices sorted by the inner sequence order with duplicates
+/// removed.
 pub(crate) fn all_matches(
     index: &KeyIndex,
     tup: &Tuple,
-    key_expr: &Plan,
+    split: &SplitPredicate<'_>,
     ctx: &mut Ctx<'_>,
-    specialized: Option<AtomicType>,
 ) -> xqr_xml::Result<Vec<usize>> {
-    let key_vals = eval_dep_items(key_expr, ctx, &InputVal::Tuple(tup.clone()))?.atomized();
     let mut matches: Vec<usize> = Vec::new();
-    for key in key_vals {
-        for promoted in promoted_keys(&key, specialized) {
-            if let Some(k) = key_of(&promoted) {
-                for entry in index.get(&k) {
-                    // Line 25: is (type1, typeof(key)) in Table 2 — i.e. are
-                    // the ORIGINAL types actually comparable? Then recheck
-                    // op:equal on the original values: promoted entries can
-                    // collide lossily (e.g. two distinct decimals rounding
-                    // to the same float).
-                    if comparable_types(entry.orig_type, key.type_of()).is_some()
-                        && crate::compare::value_compare(
-                            crate::compare::CmpOp::Eq,
-                            &entry.orig_value,
-                            &key,
-                        )
-                        .unwrap_or(false)
-                    {
-                        matches.push(entry.tuple_idx);
-                    }
-                }
+    for_each_key(split, Side::Outer, tup, ctx, |key, outer| {
+        for e in index.get(key) {
+            let inner = index.origs[e.origs..].iter().zip(outer);
+            if key
+                .iter()
+                .zip(inner)
+                .all(|((t, _), (i, o))| component_matches(*t, i, o))
+            {
+                matches.push(e.tuple_idx);
             }
         }
-    }
+        Ok(())
+    })?;
     // Sort on original sequence order and remove duplicate tuples.
     matches.sort_unstable();
     matches.dedup();
@@ -773,8 +846,9 @@ mod tests {
         let lp = table_plan("l");
         let rp = table_plan("r");
         let split = analyze_predicate(&pred, &lp, &rp, false).expect("splittable");
-        assert_eq!(only_field(split.left_key), "l");
-        assert_eq!(only_field(split.right_key), "r");
+        assert_eq!(split.keys.len(), 1);
+        assert_eq!(only_field(split.keys[0].outer), "l");
+        assert_eq!(only_field(split.keys[0].inner), "r");
         assert!(split.residual.is_empty());
     }
 
@@ -836,8 +910,8 @@ mod tests {
         let rp = table_plan("r");
         assert!(analyze_predicate(&pred, &in_rooted(), &rp, false).is_none());
         let split = analyze_predicate(&pred, &in_rooted(), &rp, true).expect("indexed");
-        assert_eq!(only_field(split.left_key), "outer");
-        assert_eq!(only_field(split.right_key), "r");
+        assert_eq!(only_field(split.keys[0].outer), "outer");
+        assert_eq!(only_field(split.keys[0].inner), "r");
         // `table_plan` reads a variable, not `IN`: loop-invariant.
         assert!(inner_side_invariant(&rp));
         assert!(!inner_side_invariant(&in_rooted()));
@@ -884,12 +958,12 @@ mod tests {
         let rp = table_plan("r");
         assert_eq!(
             describe(&pred, &lp, &rp, JoinAlgorithm::Hash, true),
-            "index key: IN#l = IN#r; residual: 1 (memoized 1); inner side: once per run"
+            "index key: IN#l = IN#r; residual: 1; inner side: once per run"
         );
         // A top-level join opens once and keeps nothing.
         assert_eq!(
             describe(&pred, &lp, &rp, JoinAlgorithm::Hash, false),
-            "index key: IN#l = IN#r; residual: 1 (memoized 1); inner side: per open"
+            "index key: IN#l = IN#r; residual: 1; inner side: per open"
         );
         // Nested-loop mode shares the table.
         assert_eq!(
@@ -909,7 +983,7 @@ mod tests {
         let eq = eq_pred("outer", "r");
         assert_eq!(
             describe(&eq, &in_rooted(), &rp, JoinAlgorithm::Hash, true),
-            "index key: IN#outer = IN#r; residual: 0 (memoized 0); inner side: once per run"
+            "index key: IN#outer = IN#r; residual: 0; inner side: once per run"
         );
         let per_open = table_plan_over("r", Plan::in_field("k"));
         assert_eq!(
@@ -917,6 +991,12 @@ mod tests {
             "nested loop (no separable equality); batched comparison kernel; \
              inner side: per open"
         );
+    }
+
+    pub(super) fn keys(v: &AtomicValue, specialized: Option<AtomicType>) -> Vec<KeyPart> {
+        let mut out = Vec::new();
+        promoted_keys(v, specialized, |k| out.push(k));
+        out
     }
 
     #[test]
@@ -930,21 +1010,15 @@ mod tests {
     #[test]
     fn promoted_keys_collide_across_numeric_types() {
         // integer 5 and decimal 5.0 must share their Decimal/Double entries.
-        let i5: Vec<_> = promote_to_simple_types(&AtomicValue::Integer(5))
-            .iter()
-            .filter_map(key_of)
-            .collect();
-        let d5: Vec<_> =
-            promote_to_simple_types(&AtomicValue::Decimal(xqr_xml::Decimal::from_i64(5)))
-                .iter()
-                .filter_map(key_of)
-                .collect();
+        let i5 = keys(&AtomicValue::Integer(5), None);
+        let d5 = keys(&AtomicValue::Decimal(xqr_xml::Decimal::from_i64(5)), None);
         assert!(i5.iter().any(|k| d5.contains(k)));
     }
 }
 
 #[cfg(test)]
 mod specialization_tests {
+    use super::tests::keys;
     use super::*;
     use xqr_xml::QName;
 
@@ -977,15 +1051,15 @@ mod specialization_tests {
     fn specialized_keys_are_single_entry() {
         // Integer key under integer specialization: one entry, not four.
         assert_eq!(
-            promoted_keys(&AtomicValue::Integer(5), Some(AtomicType::Integer)).len(),
+            keys(&AtomicValue::Integer(5), Some(AtomicType::Integer)).len(),
             1
         );
-        assert_eq!(promoted_keys(&AtomicValue::Integer(5), None).len(), 4);
+        assert_eq!(keys(&AtomicValue::Integer(5), None).len(), 4);
         // Cross-numeric specialization promotes to the comparison type.
-        let ks = promoted_keys(&AtomicValue::Integer(5), Some(AtomicType::Double));
-        assert_eq!(ks, vec![AtomicValue::Double(5.0)]);
+        let ks = keys(&AtomicValue::Integer(5), Some(AtomicType::Double));
+        assert_eq!(ks, vec![key_of(&AtomicValue::Double(5.0)).unwrap()]);
         // Dynamic value off the static prediction falls back safely.
-        let ks = promoted_keys(&AtomicValue::untyped("x"), Some(AtomicType::Date));
+        let ks = keys(&AtomicValue::untyped("x"), Some(AtomicType::Date));
         assert_eq!(ks.len(), 1, "full enumeration fallback: {ks:?}");
     }
 }
@@ -1160,9 +1234,9 @@ mod shared_build_tests {
     }
 
     #[test]
-    fn memoized_residual_operands_are_reserved_with_the_build() {
-        // `where $x = $y and $x = $y`: the second conjunct is a memoized
-        // residual, its inner operand kept per inner row beside the index.
+    fn kept_build_reserves_its_rows_and_entries_only() {
+        // `where $x = $y and $x = $y`: the second conjunct (bare fields,
+        // so it may raise) is a per-pair residual and keeps nothing.
         let twice = Plan::new(Op::Cond {
             cond: Box::new(x_eq_y()),
             then: Box::new(x_eq_y()),
@@ -1176,11 +1250,12 @@ mod shared_build_tests {
         );
         assert_eq!(two.result, one.result);
         assert_eq!(two.join, (2, 1));
-        // Two inner rows matched, one atom each.
-        assert_eq!(
-            two.held_before_drop - two.held_after_drop,
-            one.held_before_drop - one.held_after_drop + 2 * 48
-        );
+        // Two one-field rows of one item each, and four entries per row
+        // (an integer key is stored as integer, decimal, float and double).
+        let row = Tuple::from_fields(vec![("y".into(), xqr_xml::Sequence::integers([2]))]);
+        let reserved = |r: &Run| r.held_before_drop - r.held_after_drop;
+        assert_eq!(reserved(&one), 2 * row.approx_bytes() + 8 * ENTRY_BYTES);
+        assert_eq!(reserved(&two), reserved(&one));
     }
 
     #[test]

@@ -20,13 +20,13 @@
 
 use xqr_core::algebra::{Field, Op, Plan};
 use xqr_xml::axes::{self, Axis};
-use xqr_xml::{AtomicValue, Item, NodeKind, Sequence, XmlError};
+use xqr_xml::{Item, NodeKind, Sequence, XmlError};
 
 use crate::compare::effective_boolean_value;
 use crate::context::{Ctx, JoinAlgorithm};
 use crate::eval::{eval, eval_items, eval_table};
 use crate::joins::JoinProbe;
-use crate::value::{InputVal, Table, Tuple};
+use crate::value::{InputVal, NullFlag, Table, Tuple};
 
 /// A pull-based tuple stream. `next` yields the stream's tuples in order;
 /// the dynamic context is threaded through each call because dependent
@@ -200,14 +200,14 @@ fn open_cursor_raw<'p>(
         } => Ok(Box::new(DepCursor::new(
             open_cursor(src, ctx, input)?,
             dep,
-            DepMode::OuterConcat(null_field),
+            DepMode::OuterConcat(NullFlag::new(null_field)),
         ))),
         Op::OMap {
             null_field,
             input: src,
         } => Ok(Box::new(OMapCursor {
             src: open_cursor(src, ctx, input)?,
-            null_field,
+            flag: NullFlag::new(null_field),
             emitted_any: false,
             done: false,
         })),
@@ -278,7 +278,7 @@ fn open_join<'p>(
                 &split,
                 &left_table,
                 &right_table,
-                outer_null,
+                outer_null.map(NullFlag::new).as_ref(),
                 ctx,
                 stats.as_deref(),
             )?;
@@ -324,7 +324,7 @@ fn open_join<'p>(
         left: open_cursor(left, ctx, input)?,
         build,
         probe,
-        outer_null,
+        flag: outer_null.map(NullFlag::new),
         pending: Vec::new().into_iter(),
     }))
 }
@@ -559,20 +559,20 @@ impl<'p> TupleCursor<'p> for ProductCursor<'p> {
 
 /// The three dependent-map shapes share one cursor; they differ only in
 /// how a source tuple combines with its dependent table.
-enum DepMode<'p> {
+enum DepMode {
     /// `Map` — yield the dependent tuples as-is.
     Replace,
     /// `MapConcat` — yield `t ++ u` for each dependent tuple `u`.
     Concat,
     /// `OMapConcat` — like `Concat`, but an empty dependent table yields
     /// `t` extended with the true null flag (and matches get false).
-    OuterConcat(&'p Field),
+    OuterConcat(NullFlag),
 }
 
 struct DepCursor<'p> {
     src: BoxCursor<'p>,
     dep: &'p Plan,
-    mode: DepMode<'p>,
+    mode: DepMode,
     /// Source tuple being expanded (`None` in `Replace` mode, which never
     /// combines it with the dependent tuples).
     cur: Option<Tuple>,
@@ -580,7 +580,7 @@ struct DepCursor<'p> {
 }
 
 impl<'p> DepCursor<'p> {
-    fn new(src: BoxCursor<'p>, dep: &'p Plan, mode: DepMode<'p>) -> DepCursor<'p> {
+    fn new(src: BoxCursor<'p>, dep: &'p Plan, mode: DepMode) -> DepCursor<'p> {
         DepCursor {
             src,
             dep,
@@ -614,9 +614,9 @@ impl<'p> DepCursor<'p> {
             Err(e) => return Some(Err(e)),
         };
         if produced.is_empty() {
-            if let DepMode::OuterConcat(nf) = &self.mode {
+            if let DepMode::OuterConcat(flag) = &self.mode {
                 let t = self.cur.take().unwrap();
-                return Some(Ok(Some(t.with_bool((*nf).clone(), true))));
+                return Some(Ok(Some(flag.unmatched(&t))));
             }
         }
         self.inner = produced.into_iter();
@@ -627,12 +627,7 @@ impl<'p> DepCursor<'p> {
         match &self.mode {
             DepMode::Replace => u,
             DepMode::Concat => self.cur.as_ref().unwrap().concat(&u),
-            DepMode::OuterConcat(nf) => self
-                .cur
-                .as_ref()
-                .unwrap()
-                .concat(&u)
-                .with_bool((*nf).clone(), false),
+            DepMode::OuterConcat(flag) => flag.joined(self.cur.as_ref().unwrap(), &u),
         }
     }
 }
@@ -660,7 +655,7 @@ impl<'p> TupleCursor<'p> for DepCursor<'p> {
 /// all-null tuple.
 struct OMapCursor<'p> {
     src: BoxCursor<'p>,
-    null_field: &'p Field,
+    flag: NullFlag,
     emitted_any: bool,
     done: bool,
 }
@@ -677,7 +672,7 @@ impl<'p> TupleCursor<'p> for OMapCursor<'p> {
         match self.src.next(ctx) {
             Some(Ok(t)) => {
                 self.emitted_any = true;
-                Some(Ok(t.with_bool(self.null_field.clone(), false)))
+                Some(Ok(self.flag.matched(&t)))
             }
             Some(Err(e)) => Some(Err(e)),
             None => {
@@ -685,10 +680,7 @@ impl<'p> TupleCursor<'p> for OMapCursor<'p> {
                 if self.emitted_any {
                     None
                 } else {
-                    Some(Ok(Tuple::from_fields(vec![(
-                        self.null_field.clone(),
-                        Sequence::singleton(AtomicValue::Boolean(true)),
-                    )])))
+                    Some(Ok(self.flag.unmatched(&Tuple::empty())))
                 }
             }
         }
@@ -971,7 +963,7 @@ struct JoinCursor<'p> {
     left: BoxCursor<'p>,
     build: std::rc::Rc<crate::joins::JoinBuild>,
     probe: JoinProbe<'p>,
-    outer_null: Option<&'p Field>,
+    flag: Option<NullFlag>,
     pending: std::vec::IntoIter<Tuple>,
 }
 
@@ -982,25 +974,24 @@ impl<'p> TupleCursor<'p> for JoinCursor<'p> {
         }
 
         loop {
-            // `pending` holds matched tuples only; the outer-join match
-            // flag is applied lazily as each one is yielded.
+            // `pending` holds matched tuples, flagged when they were built.
             if let Some(t) = self.pending.next() {
-                return Some(Ok(match self.outer_null {
-                    Some(nf) => t.with_bool(nf.clone(), false),
-                    None => t,
-                }));
+                return Some(Ok(t));
             }
             let lt = match self.left.next(ctx)? {
                 Ok(t) => t,
                 Err(e) => return Some(Err(e)),
             };
-            let ms = match self.probe.matches(&lt, &self.build, ctx) {
+            let ms = match self
+                .probe
+                .matches(&lt, &self.build, self.flag.as_ref(), ctx)
+            {
                 Ok(ms) => ms,
                 Err(e) => return Some(Err(e)),
             };
             if ms.is_empty() {
-                if let Some(nf) = self.outer_null {
-                    return Some(Ok(lt.with_bool(nf.clone(), true)));
+                if let Some(f) = &self.flag {
+                    return Some(Ok(f.unmatched(&lt)));
                 }
                 continue;
             }
@@ -1016,10 +1007,7 @@ impl<'p> TupleCursor<'p> for JoinCursor<'p> {
     ) -> xqr_xml::Result<bool> {
         let target = out.len() + n;
         for t in &mut self.pending {
-            out.push(match self.outer_null {
-                Some(nf) => t.with_bool(nf.clone(), false),
-                None => t,
-            });
+            out.push(t);
             if out.len() >= target {
                 return Ok(true);
             }
@@ -1031,12 +1019,13 @@ impl<'p> TupleCursor<'p> for JoinCursor<'p> {
                 return Ok(false);
             };
             let lt = lt?;
-            let ms = self.probe.matches(&lt, &self.build, ctx)?;
+            let ms = self
+                .probe
+                .matches(&lt, &self.build, self.flag.as_ref(), ctx)?;
             ctx.governor.charge_tuples(ms.len().max(1) as u64)?;
-            match self.outer_null {
-                Some(nf) if ms.is_empty() => out.push(lt.with_bool(nf.clone(), true)),
-                Some(nf) => out.extend(ms.into_iter().map(|t| t.with_bool(nf.clone(), false))),
-                None => out.extend(ms),
+            match &self.flag {
+                Some(f) if ms.is_empty() => out.push(f.unmatched(&lt)),
+                _ => out.extend(ms),
             }
         }
         Ok(true)

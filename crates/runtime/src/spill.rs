@@ -66,16 +66,18 @@ use xqr_core::algebra::{Field, OrderSpecPlan, Plan};
 use xqr_xml::failpoint;
 use xqr_xml::limits::ERR_SPILL_IO;
 use xqr_xml::{
-    AtomicType, AtomicValue, ByteCharge, Date, DateTime, Decimal, Document, Governor, Item,
-    NodeHandle, NodeId, QName, Sequence, Time, XmlError,
+    AtomicValue, ByteCharge, Date, DateTime, Decimal, Document, Governor, Item, NodeHandle, NodeId,
+    QName, Sequence, Time, XmlError,
 };
 
-use crate::compare::{effective_boolean_value, order_key_compare};
+use crate::compare::order_key_compare;
 use crate::context::Ctx;
 use crate::eval::eval_dep_items;
-use crate::joins::{key_of, promoted_keys, Entry, KeyIndex, KeyVal, SplitPredicate};
+use crate::joins::{
+    all_matches, for_each_key, keep_holding, materialize, KeyPart, Side, SplitPredicate,
+};
 use crate::profile::OpStats;
-use crate::value::{InputVal, Table, Tuple};
+use crate::value::{InputVal, NullFlag, Table, Tuple};
 
 /// Hash-partition fan-out per level (join build side, group-by keys).
 pub const FANOUT: usize = 8;
@@ -794,9 +796,9 @@ impl Tally {
     }
 }
 
-/// The hash partition of a canonical key at a recursion depth (the depth
+/// The hash partition of a composite key at a recursion depth (the depth
 /// salts the hash so a repartition actually redistributes).
-fn key_partition(key: &(AtomicType, KeyVal), depth: usize) -> usize {
+fn key_partition(key: &[KeyPart], depth: usize) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     (depth as u64).hash(&mut h);
@@ -808,270 +810,217 @@ fn key_partition(key: &(AtomicType, KeyVal), depth: usize) -> usize {
 /// file at path `[p0, p1]` holds tuples that had at least one key hashing
 /// to `p0` at depth 0 and `p1` at depth 1; only such keys are indexed or
 /// scattered there — the key's matches live in that key's own subtree.
-fn on_path(key: &(AtomicType, KeyVal), path: &[usize]) -> bool {
+fn on_path(key: &[KeyPart], path: &[usize]) -> bool {
     path.iter()
         .enumerate()
         .all(|(d, &p)| key_partition(key, d) == p)
 }
 
-/// The distinct canonical `(type, value)` keys one tuple exposes through a
-/// join-key expression (every promotion of every atomized item).
-fn join_keys(
-    tup: &Tuple,
-    key_expr: &Plan,
-    specialized: Option<AtomicType>,
-    ctx: &mut Ctx<'_>,
-) -> xqr_xml::Result<Vec<(AtomicType, KeyVal)>> {
-    let vals = eval_dep_items(key_expr, ctx, &InputVal::Tuple(tup.clone()))?.atomized();
-    let mut keys = Vec::new();
-    for v in vals {
-        for p in promoted_keys(&v, specialized) {
-            if let Some(k) = key_of(&p) {
-                if !keys.contains(&k) {
-                    keys.push(k);
-                }
-            }
-        }
-    }
-    Ok(keys)
-}
-
-/// Scatters one build-side tuple into the partition files its on-path keys
-/// hash to (one frame per distinct target).
-#[allow(clippy::too_many_arguments)]
-fn scatter_inner(
-    mgr: &Rc<SpillManager>,
-    files: &mut [Option<SpillFile>],
-    idx: u64,
-    tup: &Tuple,
-    keys: &[(AtomicType, KeyVal)],
-    path: &[usize],
-    ctx: &Ctx<'_>,
-    buf: &mut Vec<u8>,
-) -> xqr_xml::Result<()> {
-    let mut targets = [false; FANOUT];
-    for k in keys.iter().filter(|k| on_path(k, path)) {
-        targets[key_partition(k, path.len())] = true;
-    }
-    for (p, hit) in targets.iter().enumerate() {
-        if !*hit {
-            continue;
-        }
-        if files[p].is_none() {
-            files[p] = Some(mgr.new_file(&ctx.governor)?);
-        }
-        files[p].as_mut().unwrap().write_join_frame(buf, idx, tup)?;
-    }
-    Ok(())
-}
-
-/// Assigns outer tuple indices to the partitions their on-path keys hash
-/// to at depth `path.len()` (an outer tuple probes every partition one of
-/// its keys belongs to).
-fn assign_outers(
-    outers: &[u64],
-    left: &Table,
-    split: &SplitPredicate<'_>,
-    path: &[usize],
-    ctx: &mut Ctx<'_>,
-) -> xqr_xml::Result<Vec<Vec<u64>>> {
-    let mut lists: Vec<Vec<u64>> = (0..FANOUT).map(|_| Vec::new()).collect();
-    for &o in outers {
-        ctx.governor.tick()?;
-        let keys = join_keys(&left[o as usize], split.left_key, split.specialized, ctx)?;
-        let mut targets = [false; FANOUT];
-        for k in keys.iter().filter(|k| on_path(k, path)) {
-            targets[key_partition(k, path.len())] = true;
-        }
-        for (p, hit) in targets.iter().enumerate() {
-            if *hit {
-                lists[p].push(o);
-            }
-        }
-    }
-    Ok(lists)
-}
-
 /// Out-of-core `Join`/`LOuterJoin` with the exact output order and
-/// `(value, type)` key semantics of the in-memory join cursor over an
-/// indexed probe. The caller has already split the predicate; predicates with no
-/// separable equality stay on the in-memory nested loop (there is no key
-/// to partition on).
+/// composite `(value, type)` key semantics of the in-memory join cursor
+/// over an indexed probe. The caller has already split the predicate;
+/// predicates with no separable equality stay on the in-memory nested
+/// loop (there is no key to partition on).
 pub(crate) fn grace_join(
     split: &SplitPredicate<'_>,
     left: &Table,
     right: &Table,
-    outer_null: Option<&Field>,
+    flag: Option<&NullFlag>,
     ctx: &mut Ctx<'_>,
     stats: Option<&OpStats>,
 ) -> xqr_xml::Result<Table> {
     let t0 = stats.map(|_| Instant::now());
-    let mgr = ctx.spill_manager()?;
-    let mut tally = Tally::default();
+    let mut grace = Grace {
+        split,
+        left,
+        flag,
+        mgr: ctx.spill_manager()?,
+        pairs: Vec::new(),
+        tally: Tally::default(),
+    };
 
     // Scatter the build side into depth-0 partitions.
     let mut files: Vec<Option<SpillFile>> = (0..FANOUT).map(|_| None).collect();
     let mut buf = Vec::new();
     for (idx, tup) in right.iter().enumerate() {
-        ctx.governor.tick()?;
-        let keys = join_keys(tup, split.right_key, split.specialized, ctx)?;
-        scatter_inner(&mgr, &mut files, idx as u64, tup, &keys, &[], ctx, &mut buf)?;
+        grace.scatter(&mut files, idx as u64, tup, &[], ctx, &mut buf)?;
     }
     if let (Some(s), Some(t0)) = (stats, t0) {
         s.add_build_nanos(t0.elapsed().as_nanos() as u64);
     }
 
-    // Assign outer tuples to the partitions their keys probe.
+    // Assign outer tuples to the partitions their keys probe, and probe
+    // partition-at-a-time, recursing on oversized partitions.
     let all_outers: Vec<u64> = (0..left.len() as u64).collect();
-    let outer_lists = assign_outers(&all_outers, left, split, &[], ctx)?;
-
-    // Probe partition-at-a-time, recursing on oversized partitions.
-    let mut pairs: Vec<(u64, u64, Tuple)> = Vec::new();
+    let outer_lists = grace.assign(&all_outers, &[], ctx)?;
     for (p, file) in files.iter_mut().enumerate() {
         let Some(file) = file.take() else { continue };
-        probe_partition(
-            file,
-            &outer_lists[p],
-            vec![p],
-            split,
-            left,
-            &mgr,
-            ctx,
-            &mut pairs,
-            &mut tally,
-        )?;
+        grace.partition(file, &outer_lists[p], vec![p], ctx)?;
     }
 
     // Merge the per-partition matches back into the global order: outer
     // order first, then inner order per outer — and drop the duplicates a
     // multi-key tuple produces across partitions (the in-memory
-    // `allMatches` dedups per probe; here the probes were split).
+    // `allMatches` dedups per probe; here the probes were split). The
+    // matched tuples already carry their flag.
+    let Grace {
+        mut pairs, tally, ..
+    } = grace;
     pairs.sort_by_key(|a| (a.0, a.1));
     pairs.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
     let mut out = Table::with_capacity(pairs.len());
-    let mut pi = 0usize;
+    let mut pairs = pairs.into_iter().peekable();
     for o in 0..left.len() as u64 {
-        let start = pi;
-        while pi < pairs.len() && pairs[pi].0 == o {
-            pi += 1;
+        let before = out.len();
+        while let Some((_, _, t)) = pairs.next_if(|p| p.0 == o) {
+            out.push(t);
         }
-        if start == pi {
-            if let Some(nf) = outer_null {
-                out.push(left[o as usize].with_bool(nf.clone(), true));
-            }
-        } else {
-            for pair in &mut pairs[start..pi] {
-                let t = std::mem::take(&mut pair.2);
-                out.push(match outer_null {
-                    Some(nf) => t.with_bool(nf.clone(), false),
-                    None => t,
-                });
-            }
+        if let (true, Some(f)) = (out.len() == before, flag) {
+            out.push(f.unmatched(&left[o as usize]));
         }
     }
     tally.flush(stats);
     Ok(out)
 }
 
-/// Loads one build-side partition, indexes it, and probes its outer
-/// tuples — or, when the partition exceeds the working budget and the
-/// depth cap allows, streams it into depth-salted sub-partitions and
-/// recurses without ever holding it in memory.
-#[allow(clippy::too_many_arguments)]
-fn probe_partition(
-    mut file: SpillFile,
-    outers: &[u64],
-    path: Vec<usize>,
-    split: &SplitPredicate<'_>,
-    left: &Table,
-    mgr: &Rc<SpillManager>,
-    ctx: &mut Ctx<'_>,
-    pairs: &mut Vec<(u64, u64, Tuple)>,
-    tally: &mut Tally,
-) -> xqr_xml::Result<()> {
-    tally.bytes += file.bytes();
-    tally.partitions += 1;
-    // `frames > 1`: a single oversized tuple can't shrink by repartition.
-    if file.bytes() > working_budget(&ctx.governor) && path.len() < MAX_DEPTH && file.frames() > 1 {
-        file.start_read()?;
-        let mut sub: Vec<Option<SpillFile>> = (0..FANOUT).map(|_| None).collect();
-        let mut buf = Vec::new();
-        while let Some((idx, tup)) = file.read_join_frame()? {
-            ctx.governor.tick()?;
-            let keys = join_keys(&tup, split.right_key, split.specialized, ctx)?;
-            scatter_inner(mgr, &mut sub, idx, &tup, &keys, &path, ctx, &mut buf)?;
+/// One Grace join in progress.
+struct Grace<'a, 'p> {
+    split: &'a SplitPredicate<'p>,
+    left: &'a Table,
+    flag: Option<&'a NullFlag>,
+    mgr: Rc<SpillManager>,
+    /// `(outer index, inner index, joined tuple)` per match.
+    pairs: Vec<(u64, u64, Tuple)>,
+    tally: Tally,
+}
+
+impl Grace<'_, '_> {
+    /// The partitions at depth `path.len()` that one tuple's on-path
+    /// composite keys hash to — the in-memory join's own keys
+    /// ([`for_each_key`]), so both paths agree on what matches.
+    fn partitions(
+        &self,
+        side: Side,
+        tup: &Tuple,
+        path: &[usize],
+        ctx: &mut Ctx<'_>,
+    ) -> xqr_xml::Result<[bool; FANOUT]> {
+        let mut targets = [false; FANOUT];
+        for_each_key(self.split, side, tup, ctx, |key, _| {
+            if on_path(key, path) {
+                targets[key_partition(key, path.len())] = true;
+            }
+            Ok(())
+        })?;
+        Ok(targets)
+    }
+
+    /// Scatters one build-side tuple into the partition files its on-path
+    /// keys hash to (one frame per distinct target).
+    fn scatter(
+        &self,
+        files: &mut [Option<SpillFile>],
+        idx: u64,
+        tup: &Tuple,
+        path: &[usize],
+        ctx: &mut Ctx<'_>,
+        buf: &mut Vec<u8>,
+    ) -> xqr_xml::Result<()> {
+        ctx.governor.tick()?;
+        let targets = self.partitions(Side::Inner, tup, path, ctx)?;
+        for (p, _) in targets.iter().enumerate().filter(|(_, hit)| **hit) {
+            if files[p].is_none() {
+                files[p] = Some(self.mgr.new_file(&ctx.governor)?);
+            }
+            files[p].as_mut().unwrap().write_join_frame(buf, idx, tup)?;
         }
-        drop(file); // delete the parent partition before descending
-        let outer_sub = assign_outers(outers, left, split, &path, ctx)?;
-        for (p, f) in sub.iter_mut().enumerate() {
-            let Some(f) = f.take() else { continue };
-            let mut sub_path = path.clone();
-            sub_path.push(p);
-            probe_partition(
-                f,
-                &outer_sub[p],
-                sub_path,
-                split,
-                left,
-                mgr,
+        Ok(())
+    }
+
+    /// Assigns outer tuple indices to the partitions their on-path keys
+    /// hash to at depth `path.len()` (an outer tuple probes every
+    /// partition one of its keys belongs to).
+    fn assign(
+        &self,
+        outers: &[u64],
+        path: &[usize],
+        ctx: &mut Ctx<'_>,
+    ) -> xqr_xml::Result<Vec<Vec<u64>>> {
+        let mut lists: Vec<Vec<u64>> = (0..FANOUT).map(|_| Vec::new()).collect();
+        for &o in outers {
+            ctx.governor.tick()?;
+            let targets = self.partitions(Side::Outer, &self.left[o as usize], path, ctx)?;
+            for (p, _) in targets.iter().enumerate().filter(|(_, hit)| **hit) {
+                lists[p].push(o);
+            }
+        }
+        Ok(lists)
+    }
+
+    /// Loads one build-side partition, indexes it, and probes its outer
+    /// tuples — or, when the partition exceeds the working budget and the
+    /// depth cap allows, streams it into depth-salted sub-partitions and
+    /// recurses without ever holding it in memory.
+    fn partition(
+        &mut self,
+        mut file: SpillFile,
+        outers: &[u64],
+        path: Vec<usize>,
+        ctx: &mut Ctx<'_>,
+    ) -> xqr_xml::Result<()> {
+        self.tally.bytes += file.bytes();
+        self.tally.partitions += 1;
+        // `frames > 1`: a single oversized tuple can't shrink by repartition.
+        if file.bytes() > working_budget(&ctx.governor)
+            && path.len() < MAX_DEPTH
+            && file.frames() > 1
+        {
+            file.start_read()?;
+            let mut sub: Vec<Option<SpillFile>> = (0..FANOUT).map(|_| None).collect();
+            let mut buf = Vec::new();
+            while let Some((idx, tup)) = file.read_join_frame()? {
+                self.scatter(&mut sub, idx, &tup, &path, ctx, &mut buf)?;
+            }
+            drop(file); // delete the parent partition before descending
+            let outer_sub = self.assign(outers, &path, ctx)?;
+            for (p, f) in sub.iter_mut().enumerate() {
+                let Some(f) = f.take() else { continue };
+                let mut sub_path = path.clone();
+                sub_path.push(p);
+                self.partition(f, &outer_sub[p], sub_path, ctx)?;
+            }
+            return Ok(());
+        }
+
+        // Load + index this partition with the in-memory join's own
+        // `materialize`; the charge drops with the partition.
+        file.start_read()?;
+        let (mut ids, mut rows) = (Vec::new(), Table::new());
+        while let Some((idx, tup)) = file.read_join_frame()? {
+            ids.push(idx);
+            rows.push(tup);
+        }
+        drop(file);
+        let mut charge = ByteCharge::new(&ctx.governor);
+        let index = materialize(&rows, self.split, ctx, &mut charge, |k| on_path(k, &path))?;
+        for &o in outers {
+            ctx.governor.tick()?;
+            let lt = &self.left[o as usize];
+            let ms = all_matches(&index, lt, self.split, ctx)?;
+            ctx.governor.charge_tuples(ms.len() as u64)?;
+            let pairs = &mut self.pairs;
+            keep_holding(
+                &self.split.residual,
+                lt,
+                &rows,
+                ms,
+                self.flag,
                 ctx,
-                pairs,
-                tally,
+                |i, t| pairs.push((o, ids[i], t)),
             )?;
         }
-        return Ok(());
+        Ok(())
     }
-
-    // Load + index this partition; the charge drops with the partition.
-    let mut charge = ByteCharge::new(&ctx.governor);
-    file.start_read()?;
-    let mut by_idx: HashMap<u64, Tuple> = HashMap::new();
-    let mut index = KeyIndex::new(ctx.join_algorithm);
-    while let Some((idx, tup)) = file.read_join_frame()? {
-        ctx.governor.tick()?;
-        charge.add(tup.approx_bytes())?;
-        let vals = eval_dep_items(split.right_key, ctx, &InputVal::Tuple(tup.clone()))?.atomized();
-        for key in vals {
-            for promoted in promoted_keys(&key, split.specialized) {
-                if let Some(k) = key_of(&promoted) {
-                    if on_path(&k, &path) {
-                        index.put(
-                            k,
-                            Entry {
-                                orig_value: key.clone(),
-                                orig_type: key.type_of(),
-                                tuple_idx: idx as usize,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        by_idx.insert(idx, tup);
-    }
-    drop(file);
-
-    for &o in outers {
-        ctx.governor.tick()?;
-        let lt = &left[o as usize];
-        let ms = crate::joins::all_matches(&index, lt, split.left_key, ctx, split.specialized)?;
-        ctx.governor.charge_tuples(ms.len() as u64)?;
-        'candidates: for gi in ms {
-            let rt = &by_idx[&(gi as u64)];
-            let input = InputVal::Tuple(lt.concat(rt));
-            for residual in &split.residual {
-                let v = eval_dep_items(residual, ctx, &input)?;
-                if !effective_boolean_value(&v)? {
-                    continue 'candidates;
-                }
-            }
-            let InputVal::Tuple(joined) = input else {
-                unreachable!()
-            };
-            pairs.push((o, gi as u64, joined));
-        }
-    }
-    Ok(())
 }
 
 // ===== Partitioned group-by ================================================
@@ -1557,7 +1506,7 @@ mod tests {
 
     #[test]
     fn key_partitions_are_stable_and_depth_salted() {
-        let k = key_of(&AtomicValue::Integer(5)).unwrap();
+        let k = [crate::joins::key_of(&AtomicValue::Integer(5)).unwrap()];
         assert_eq!(key_partition(&k, 0), key_partition(&k, 0));
         // Some depth within the cap must redistribute this key; otherwise
         // recursion could never help (astronomically unlikely to fail).

@@ -83,14 +83,6 @@ impl Tuple {
         Tuple(Rc::new(v))
     }
 
-    /// Extends with a boolean flag field (the outer operators' null flags).
-    pub fn with_bool(&self, field: Field, flag: bool) -> Tuple {
-        self.with(
-            field,
-            Sequence::singleton(xqr_xml::AtomicValue::Boolean(flag)),
-        )
-    }
-
     pub fn fields(&self) -> impl Iterator<Item = (&Field, &Sequence)> {
         self.0.iter().map(|(f, s)| (f, s))
     }
@@ -113,6 +105,54 @@ impl Tuple {
             n += 48 + f.len() as u64 + 24 * s.len() as u64;
         }
         n
+    }
+}
+
+/// An outer operator's null flag (Section 3: a boolean field, not a null
+/// value) with its two values, shared by every output tuple.
+pub struct NullFlag {
+    field: Field,
+    matched: Sequence,
+    unmatched: Sequence,
+}
+
+thread_local! {
+    /// The two flag values, shared by every outer operator on this thread:
+    /// an open allocates nothing.
+    static FLAGS: [Sequence; 2] =
+        [false, true].map(|b| Sequence::singleton(xqr_xml::AtomicValue::Boolean(b)));
+}
+
+impl NullFlag {
+    pub fn new(field: &Field) -> NullFlag {
+        let [matched, unmatched] = FLAGS.with(|f| f.clone());
+        NullFlag {
+            field: field.clone(),
+            matched,
+            unmatched,
+        }
+    }
+
+    /// `t` flagged as matched.
+    pub fn matched(&self, t: &Tuple) -> Tuple {
+        t.with(self.field.clone(), self.matched.clone())
+    }
+
+    /// `t` flagged as null-padded.
+    pub fn unmatched(&self, t: &Tuple) -> Tuple {
+        t.with(self.field.clone(), self.unmatched.clone())
+    }
+
+    /// `lt ++ rt` flagged as matched, written once: what
+    /// `self.matched(&lt.concat(rt))` returns, without the intermediate
+    /// tuple.
+    pub fn joined(&self, lt: &Tuple, rt: &Tuple) -> Tuple {
+        let keep = |f: &Field| !Tuple::name_eq(f, &self.field);
+        let mut v = Vec::with_capacity(lt.0.len() + rt.0.len() + 1);
+        v.extend(lt.0.iter().filter(|(f, _)| keep(f) && !rt.has(f)).cloned());
+        v.extend(rt.0.iter().filter(|(f, _)| keep(f)).cloned());
+        v.push((self.field.clone(), self.matched.clone()));
+        Tuple(Rc::new(v))
     }
 }
 
@@ -193,6 +233,15 @@ mod tests {
         let d = c.with("x".into(), Sequence::integers([7, 8]));
         assert_eq!(d.get("x").len(), 2);
         assert_eq!(d.len(), 2, "with() replaces rather than duplicates");
+        // A flagged join is concat-then-flag, field for field.
+        for (l, r) in [(&a, &b), (&c, &b), (&a, &c)] {
+            for f in ["x", "y", "z"] {
+                let flag = NullFlag::new(&f.into());
+                let once = flag.joined(l, r);
+                let twice = flag.matched(&l.concat(r));
+                assert_eq!(format!("{once:?}"), format!("{twice:?}"), "{f}");
+            }
+        }
     }
 
     #[test]

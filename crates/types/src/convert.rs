@@ -20,6 +20,7 @@
 //! | untypedAtomic                | any other type T             | T                |
 //! | any other type T             | must be T (or promotable)    | unchanged        |
 
+use xqr_xml::atomic::is_double_lexical;
 use xqr_xml::{AtomicType, AtomicValue, XmlError};
 
 use crate::cast::cast_atomic;
@@ -106,59 +107,87 @@ pub fn convert_pair(
     Ok((promote(&x1)?, promote(&y1)?))
 }
 
-/// `promoteToSimpleTypes` (Fig. 6): enumerates every `(value, type)` pair a
-/// join-key value can be stored (or probed) under, so that each side of the
-/// hash join is materialized independently of the other side's *values*.
+/// `promoteToSimpleTypes` (Fig. 6): every `(value, type)` pair a join-key
+/// value can be stored (or probed) under, handed to `out` one at a time, so
+/// that each side of the hash join is materialized independently of the
+/// other side's *values*.
 ///
 /// * numeric values → one entry per numeric type they promote to;
 /// * untyped values → `xs:string` always, `xs:double` when the lexical form
-///   is numeric, plus the calendar types when the lexical form parses
-///   (covering the "untyped vs T" row of Table 2);
+///   is numeric, plus the calendar types and `xs:boolean` when the lexical
+///   form casts (covering the "untyped vs T" row of Table 2);
 /// * anyURI → itself plus `xs:string`;
 /// * anything else → just itself.
 ///
 /// The paper bounds this enumeration by the number of primitive XML Schema
-/// datatypes ("no more than nineteen").
-pub fn promote_to_simple_types(v: &AtomicValue) -> Vec<AtomicValue> {
+/// datatypes ("no more than nineteen"). An untyped value's string entry
+/// shares its text, and [`may_cast_from_string`] rules most casts out
+/// before they build the `FORG0001` a failed one returns: promoting a name
+/// or a number allocates nothing.
+pub fn promote_to_simple_types(v: &AtomicValue, mut out: impl FnMut(AtomicValue)) {
     use AtomicType as T;
-    let mut out = Vec::with_capacity(4);
-    match v.type_of() {
-        t if t.is_numeric() => {
-            for target in [T::Integer, T::Decimal, T::Float, T::Double] {
-                if let Ok(p) = crate::hierarchy::promote_numeric(v, target) {
-                    out.push(p);
-                } else if t == T::Double || t == T::Float || t == T::Decimal {
-                    // Narrower targets unreachable by promotion: skip.
-                }
-            }
-        }
-        T::UntypedAtomic => {
-            let s = v.string_value();
-            out.push(AtomicValue::string(s.clone()));
-            if let Ok(d) = AtomicValue::parse_double(&s) {
-                if !d.is_nan() {
-                    out.push(AtomicValue::Double(d));
+    match v {
+        AtomicValue::UntypedAtomic(s) => {
+            out(AtomicValue::String(s.clone()));
+            let t = s.trim();
+            if may_cast_from_string(t, T::Double) {
+                match AtomicValue::parse_double(t) {
+                    Ok(d) if !d.is_nan() => out(AtomicValue::Double(d)),
+                    _ => {}
                 }
             }
             for target in [T::Date, T::Time, T::DateTime, T::Boolean] {
-                if let Ok(p) = crate::cast::cast_from_string(&s, target) {
-                    out.push(p);
+                if may_cast_from_string(t, target) {
+                    if let Ok(p) = crate::cast::cast_from_string(t, target) {
+                        out(p);
+                    }
                 }
             }
         }
-        T::AnyUri => {
-            out.push(v.clone());
-            out.push(AtomicValue::string(v.string_value()));
+        AtomicValue::AnyUri(s) => {
+            out(v.clone());
+            out(AtomicValue::String(s.clone()));
         }
-        _ => out.push(v.clone()),
+        _ if v.type_of().is_numeric() => {
+            // Narrower targets are unreachable by promotion and skipped.
+            for target in [T::Integer, T::Decimal, T::Float, T::Double] {
+                if let Ok(p) = crate::hierarchy::promote_numeric(v, target) {
+                    out(p);
+                }
+            }
+        }
+        _ => out(v.clone()),
     }
-    out
+}
+
+/// Can `cast_from_string(t, to)` succeed on this trimmed text? Exact for
+/// `xs:boolean`; for `xs:date`, `xs:time` and `xs:dateTime` a necessary
+/// shape (the separators every lexical form of the type has), so a `false`
+/// is always right and a `true` still needs the cast. Every other target
+/// answers `true`.
+pub fn may_cast_from_string(t: &str, to: AtomicType) -> bool {
+    use AtomicType as T;
+    let count = |c: u8| t.bytes().filter(|&b| b == c).count();
+    match to {
+        T::Boolean => matches!(t, "true" | "false" | "1" | "0"),
+        T::Date => count(b'-') >= 2,
+        T::Time => count(b':') >= 2,
+        T::DateTime => t.contains('T') && count(b'-') >= 2 && count(b':') >= 2,
+        T::Double | T::Float => is_double_lexical(t),
+        _ => true,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use AtomicType as T;
+
+    fn promoted(v: &AtomicValue) -> Vec<AtomicValue> {
+        let mut out = Vec::new();
+        promote_to_simple_types(v, |p| out.push(p));
+        out
+    }
 
     /// Exhaustive check of Table 2, row by row.
     #[test]
@@ -271,10 +300,10 @@ mod tests {
 
     #[test]
     fn promote_enumeration_numeric() {
-        let pairs = promote_to_simple_types(&AtomicValue::Integer(5));
+        let pairs = promoted(&AtomicValue::Integer(5));
         let types: Vec<T> = pairs.iter().map(|p| p.type_of()).collect();
         assert_eq!(types, [T::Integer, T::Decimal, T::Float, T::Double]);
-        let pairs = promote_to_simple_types(&AtomicValue::Double(5.0));
+        let pairs = promoted(&AtomicValue::Double(5.0));
         assert_eq!(
             pairs.iter().map(|p| p.type_of()).collect::<Vec<_>>(),
             [T::Double]
@@ -283,15 +312,15 @@ mod tests {
 
     #[test]
     fn promote_enumeration_untyped() {
-        let pairs = promote_to_simple_types(&AtomicValue::untyped("42"));
+        let pairs = promoted(&AtomicValue::untyped("42"));
         let types: Vec<T> = pairs.iter().map(|p| p.type_of()).collect();
         assert!(types.contains(&T::String));
         assert!(types.contains(&T::Double));
-        let pairs = promote_to_simple_types(&AtomicValue::untyped("hello"));
+        let pairs = promoted(&AtomicValue::untyped("hello"));
         let types: Vec<T> = pairs.iter().map(|p| p.type_of()).collect();
         assert_eq!(types, [T::String]);
         // Dates get a calendar entry.
-        let pairs = promote_to_simple_types(&AtomicValue::untyped("2001-01-01"));
+        let pairs = promoted(&AtomicValue::untyped("2001-01-01"));
         assert!(pairs.iter().any(|p| p.type_of() == T::Date));
     }
 
@@ -303,7 +332,7 @@ mod tests {
             AtomicValue::untyped("2001-01-01"),
             AtomicValue::string("x"),
         ] {
-            assert!(promote_to_simple_types(&v).len() <= 19);
+            assert!(promoted(&v).len() <= 19);
         }
     }
 }

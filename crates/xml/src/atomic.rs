@@ -216,16 +216,19 @@ impl AtomicValue {
         }
     }
 
-    /// Parses a double using XML Schema's lexical space (INF, -INF, NaN).
+    /// Parses a double using XML Schema's lexical space (INF, -INF, NaN):
+    /// exactly the strings [`is_double_lexical`] accepts, after trimming.
     pub fn parse_double(s: &str) -> crate::Result<f64> {
         let t = s.trim();
+        let invalid = || XmlError::new("FORG0001", format!("invalid xs:double: {s:?}"));
         match t {
             "INF" | "+INF" => Ok(f64::INFINITY),
             "-INF" => Ok(f64::NEG_INFINITY),
             "NaN" => Ok(f64::NAN),
-            _ => t
-                .parse::<f64>()
-                .map_err(|_| XmlError::new("FORG0001", format!("invalid xs:double: {s:?}"))),
+            // Rust's own grammar is wider (`inf`, `infinity`, `nan` in any
+            // case); on the numerals it is the same.
+            _ if is_double_lexical(t) => t.parse::<f64>().map_err(|_| invalid()),
+            _ => Err(invalid()),
         }
     }
 
@@ -248,6 +251,43 @@ impl AtomicValue {
             )),
         }
     }
+}
+
+/// The `xs:double` lexical space (no surrounding whitespace): a decimal
+/// numeral with an optional exponent, `(\+|-)?([0-9]+(\.[0-9]*)?|\.[0-9]+)
+/// ([Ee](\+|-)?[0-9]+)?`, or `INF`, `+INF`, `-INF`, `NaN`. No allocation,
+/// so a caller can rule a string out before paying for an error.
+pub fn is_double_lexical(t: &str) -> bool {
+    if matches!(t, "INF" | "+INF" | "-INF" | "NaN") {
+        return true;
+    }
+    let b = t.as_bytes();
+    let mut i = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    let digits = |i: &mut usize| {
+        let start = *i;
+        while b.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i - start
+    };
+    let mut mantissa = digits(&mut i);
+    if b.get(i) == Some(&b'.') {
+        i += 1;
+        mantissa += digits(&mut i);
+    }
+    if mantissa == 0 {
+        return false;
+    }
+    if matches!(b.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(b.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if digits(&mut i) == 0 {
+            return false;
+        }
+    }
+    i == b.len()
 }
 
 /// XPath number-to-string conversion: integers without exponent or trailing
@@ -352,6 +392,22 @@ mod tests {
         assert!(AtomicValue::parse_double("NaN").unwrap().is_nan());
         assert_eq!(AtomicValue::parse_double(" 1e3 ").unwrap(), 1000.0);
         assert!(AtomicValue::parse_double("one").is_err());
+        for ok in ["1", "+1.", "-.5", "1.5E+3", "0e0", "-0", "+INF", "-INF"] {
+            assert!(is_double_lexical(ok), "{ok}");
+            assert!(AtomicValue::parse_double(ok).is_ok(), "{ok}");
+        }
+        // Rust's `f64::from_str` takes these; XML Schema does not.
+        for bad in [
+            "inf", "Infinity", "infinity", "nan", "-NaN", "+NaN", "INFINITY", ".", "e5", "1e",
+            "1e+", "1.5.", "", "+", "1 2", "0x10",
+        ] {
+            assert!(!is_double_lexical(bad), "{bad}");
+            assert_eq!(
+                AtomicValue::parse_double(bad).unwrap_err().code,
+                "FORG0001",
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -134,7 +134,10 @@ impl Sequence {
     pub fn atomized(&self) -> Vec<AtomicValue> {
         let mut out = Vec::with_capacity(self.len());
         for item in self.iter() {
-            out.extend(item.atomized());
+            match item {
+                Item::Atomic(a) => out.push(a.clone()),
+                Item::Node(n) => out.extend(n.typed_value()),
+            }
         }
         out
     }

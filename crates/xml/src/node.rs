@@ -361,14 +361,18 @@ impl NodeHandle {
     }
 
     /// The typed value: validation annotation if present, else untypedAtomic
-    /// of the string value (string for comments/PIs, per XDM).
+    /// of the string value (string for comments/PIs, per XDM). A text or
+    /// attribute node's atom shares the node's stored string.
     pub fn typed_value(&self) -> Vec<AtomicValue> {
         if let Some(tv) = self.typed_value_annotation() {
             return tv.to_vec();
         }
-        match self.kind() {
-            NodeKind::Comment | NodeKind::Pi => {
+        match (self.kind(), &self.data().value) {
+            (NodeKind::Comment | NodeKind::Pi, _) => {
                 vec![AtomicValue::string(self.string_value())]
+            }
+            (NodeKind::Text | NodeKind::Attribute, Some(v)) => {
+                vec![AtomicValue::UntypedAtomic(v.clone())]
             }
             _ => vec![AtomicValue::untyped(self.string_value())],
         }

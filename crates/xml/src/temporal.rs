@@ -293,8 +293,8 @@ fn split_timezone(s: &str) -> crate::Result<(&str, Option<i32>)> {
         return Ok((body, Some(0)));
     }
     // A timezone suffix is +HH:MM or -HH:MM in the last six chars; careful not
-    // to confuse the date's own '-' separators.
-    if s.len() > 6 {
+    // to confuse the date's own '-' separators (or to cut a character).
+    if s.len() > 6 && s.is_char_boundary(s.len() - 6) {
         let tail = &s[s.len() - 6..];
         let b = tail.as_bytes();
         if (b[0] == b'+' || b[0] == b'-') && b[3] == b':' {

@@ -6,7 +6,7 @@
 //! allocates the same number of blocks every time. So this guards the
 //! write-once construction (nested constructors build into their parent's
 //! builder, copies share strings, `clio:deep-distinct` hashes instead of
-//! serializing) without a timer.
+//! serializing) and N3's composite-key join without a timer.
 //!
 //! The test is alone in its binary because the counter is the global
 //! allocator: a second test running beside it would be counted too.
@@ -79,5 +79,15 @@ fn nested_construction_allocates_at_most_six_tenths_of_the_copying_build() {
     let q10 = allocations(&xmark, query(10));
     eprintln!("allocations per run: clio N3 {n3}, xmark Q10 {q10}");
     assert!(n3 * 10 <= N3_COPYING * 6, "N3 allocated {n3} blocks");
+    // With the composite `(author, year)` join key (no per-candidate
+    // residual, keys and text atoms sharing the node's string, no
+    // failed-cast errors while promoting untyped keys, outer-join flags
+    // written once) N3 measured 407 782 blocks, down from 869 014; the
+    // bound leaves 5 % for drift.
+    const N3_MEASURED: u64 = 407_782;
+    assert!(
+        n3 <= N3_MEASURED + N3_MEASURED / 20,
+        "N3 allocated {n3} blocks"
+    );
     assert!(q10 * 10 <= Q10_COPYING * 6, "Q10 allocated {q10} blocks");
 }

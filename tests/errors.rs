@@ -87,6 +87,37 @@ fn cast_errors() {
     check_error("'abc' cast as xs:integer", "FORG0001");
     check_error("() cast as xs:integer", "XPTY0004");
     check_error("'2001-13-01' cast as xs:date", "FORG0001");
+    // A multi-byte character where a timezone would start is no timezone.
+    check_error("xs:date('€abcde')", "FORG0001");
+    check_error("xs:time('x€abcde')", "FORG0001");
+    // XML Schema's double lexical space, not Rust's: `INF`, `-INF` and
+    // `NaN` are the only words.
+    for q in [
+        "xs:double('inf')",
+        "xs:double('Infinity')",
+        "xs:double('-infinity')",
+        "xs:double('nan')",
+        "xs:float('inf')",
+        "'INFINITY' cast as xs:double",
+    ] {
+        check_error(q, "FORG0001");
+    }
+}
+
+#[test]
+fn zero_argument_builtins_need_a_context_item() {
+    for f in [
+        "name",
+        "local-name",
+        "namespace-uri",
+        "string",
+        "number",
+        "string-length",
+        "normalize-space",
+        "root",
+    ] {
+        check_error(&format!("{f}()"), "XPDY0002");
+    }
 }
 
 #[test]

@@ -141,6 +141,57 @@ fn multi_conjunct_predicates_use_residuals() {
     }
 }
 
+/// A later separable equality joins the index key only when neither
+/// operand can raise: text or attribute steps over a field bound per node
+/// of a path. The first separable equality is the key whatever it reads.
+#[test]
+fn only_conjuncts_that_cannot_raise_join_the_key() {
+    let mut e = Engine::new();
+    e.bind_document(
+        "d.xml",
+        "<r><e id='1'><y>1</y></e><e id='2'><y>x</y></e></r>",
+    )
+    .unwrap();
+    let note = |second: &str| {
+        let q = format!(
+            "for $p in doc('d.xml')/r/e, $q in doc('d.xml')/r/e \
+             where $p/@id = $q/@id and {second} return 1"
+        );
+        let p = e
+            .prepare(&q, &CompileOptions::mode(ExecutionMode::OptimHashJoin))
+            .unwrap();
+        let out = p.run_to_string(&e).unwrap();
+        let plan = p.explain();
+        let line = plan.lines().find(|l| l.contains("index key:"));
+        let line = line.unwrap_or_else(|| panic!("no index key: {plan}"));
+        (
+            line.matches(") and ").count() + 1,
+            line.contains("residual: 0"),
+            out,
+        )
+    };
+    assert_eq!(note("$p/y/text() = $q/y/text()"), (2, true, "1 1".into()));
+    assert_eq!(note("$q/@id = $p/@id"), (2, true, "1 1".into()));
+    // An element atomizes a whole subtree, a cast may raise, a string
+    // function's argument is not a step chain: residuals.
+    for second in [
+        "$p/y = $q/y",
+        "xs:integer($p/@id) = $q/@id",
+        "string($p/y) = $q/y/text()",
+    ] {
+        assert_eq!(note(second).0, 1, "{second}");
+        assert!(!note(second).1, "{second}");
+    }
+    // A variable's nodes are not bound per node of a path on this side.
+    let q = "let $v := doc('d.xml')/r/e return \
+             for $p in $v, $q in doc('d.xml')/r/e \
+             where $p/@id = $q/@id and $p/y/text() = $q/y/text() return 1";
+    let p = e
+        .prepare(q, &CompileOptions::mode(ExecutionMode::OptimHashJoin))
+        .unwrap();
+    assert!(p.explain().contains("residual: 1"), "{}", p.explain());
+}
+
 #[test]
 fn inequality_joins_fall_back_to_nested_loop() {
     // No hashable equality: the hash/sort modes must still compute the

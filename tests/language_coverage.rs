@@ -52,6 +52,10 @@ fn comparison_corners() {
     check("(1, 2) != (1, 2)", "true"); // existential over distinct pairs
     check("1 eq 1", "true");
     check("'a' eq 'a'", "true");
+    // Untyped content compares as xs:double only in its lexical space.
+    check("<a>INF</a> = 1 div 0e0", "true");
+    check("<a>infinity</a> = 1 div 0e0", "false");
+    check("<a>-inf</a> = -1 div 0e0", "false");
 }
 
 #[test]
@@ -168,6 +172,25 @@ fn node_set_operators() {
                  count($r/* except $r/b))",
         "2 1 2",
     );
+}
+
+#[test]
+fn zero_argument_builtins_take_the_context_item() {
+    let mut e = Engine::new();
+    e.bind_document("ns.xml", "<a xmlns='urn:u'><b>  x   y </b><c>12</c></a>")
+        .unwrap();
+    check_with(
+        e,
+        "let $a := doc('ns.xml')/* \
+         return ($a/*/name(), $a/*/local-name(), $a/*[1]/namespace-uri(), \
+                 $a/*/string(), $a/*[2]/number(), $a/*/string-length(), \
+                 $a/*[1]/normalize-space(), $a/*[1]/root() is root($a))",
+        "b c b c urn:u   x   y  12 12 8 2 x y true",
+    );
+    check("(<a><b/></a>)/b/name()", "b");
+    check("(<a>x</a>)/string()", "x");
+    check("('ab', 'c')[string-length() = 1]", "c");
+    check("(<a><b/></a>)/b/root()/local-name()", "a");
 }
 
 #[test]

@@ -250,6 +250,17 @@ const PUBS: &str = r#"<db>
   <pub><author>C</author><author>A</author><year></year><venue>V2</venue></pub>
 </db>"#;
 
+/// Composite-key operands: `@a` and `v` hold signed zeros, NaN and a
+/// non-number, `w` is multi-valued or empty, one `k` has no `@a`.
+const KEYS: &str = r#"<keys>
+  <k id="1" a="0" b="x"><v>0</v><w>1</w></k>
+  <k id="2" a="-0" b="x"><v>-0</v><w>1</w><w>2</w></k>
+  <k id="3" a="0.0" b="y"><v>0e0</v><w>2</w></k>
+  <k id="4" a="NaN" b="x"><v>NaN</v><w/></k>
+  <k id="5" b="x"><v>1</v><w>2</w><w>1</w></k>
+  <k id="6" a="1" b="y"><v>abc</v><w>0</w></k>
+</keys>"#;
+
 /// XMark Q9 on [`AUCTION`]: the inner join sits in the outer `GroupBy`'s
 /// per-partition plan, its probe side is `IN`-rooted and its inner side
 /// loop-invariant. `extra` is spliced into the innermost `where`.
@@ -349,15 +360,81 @@ fn correlated_join_corpus() {
         assert_agrees_with_oracle(&e, q, "correlated join corpus");
     }
 
+    // A later conjunct joins the index key only when its operands cannot
+    // raise: the interpreter's `and` never casts "xyz" (its length is not
+    // 1), so no mode may.
+    let guarded = "for $p in (1,2), $q in (\"1\",\"xyz\") \
+                   where string-length($q) = $p and xs:integer($q) = $p return $p";
+    for mode in ALGEBRA_MODES.into_iter().chain([ORACLE]) {
+        assert_eq!(
+            outcome(&e, guarded, &CompileOptions::mode(mode)),
+            Ok("1".to_string()),
+            "{mode:?}"
+        );
+    }
+
+    // Composite keys: every component a text or attribute step chain after
+    // the first (whatever its operands), over multi-valued, empty, NaN and
+    // signed-zero values, untyped against a double in the first. Every
+    // mode, also under a strict byte budget (no spilling, so no kept
+    // build), must produce the interpreter's bytes.
+    e.bind_document("keys.xml", KEYS).unwrap();
+    let k = "doc('keys.xml')/keys/k";
+    let composite = [
+        format!(
+            "for $p in {k}, $q in {k} where number($p/@a) = $q/v/text() and $p/@b = $q/@b \
+             return concat($p/@id, '-', $q/@id)"
+        ),
+        format!(
+            "for $p in {k}, $q in {k} \
+             where $p/@b = $q/@b and $p/w/text() = $q/w/text() and $q/v/text() = $p/v/text() \
+             return concat($p/@id, '-', $q/@id)"
+        ),
+        format!(
+            "for $p in {k} return <e>{{ for $q in {k} \
+             where $q/w/text() = $p/w/text() and $q/@b = $p/@b return string($q/@id) }}</e>"
+        ),
+        format!(
+            "for $p in {k}, $q in {k} \
+             where $p/w/text() = $q/w/text() and $p/@id != $q/@id and $p/@b = $q/@b \
+             return concat($p/@id, '-', $q/@id)"
+        ),
+        format!(
+            "for $p in {pubs}, $q in {pubs} \
+             where $p/author/text() = $q/author/text() and $p/year/text() = $q/year/text() \
+               and $p/n/text() = $q/n/text() \
+             return concat($p/venue, '-', $q/venue)"
+        ),
+    ];
+    let strict = Limits::none()
+        .with_max_bytes(1 << 20)
+        .with_spill(None)
+        .with_deadline(Duration::from_secs(10));
+    for q in &composite {
+        assert_agrees_with_oracle(&e, q, "composite join keys");
+        let expected = outcome(&e, q, &CompileOptions::mode(ORACLE));
+        for mode in ALGEBRA_MODES {
+            let got = outcome(&e, q, &CompileOptions::mode(mode).limits(strict.clone()));
+            assert_eq!(got, expected, "{mode:?} under a strict budget\nquery: {q}");
+        }
+        let text = e
+            .prepare(q, &CompileOptions::mode(ExecutionMode::OptimHashJoin))
+            .unwrap()
+            .explain();
+        assert!(text.contains(") and "), "one composite key: {text}");
+    }
+
     // The corpus is only worth its name while Q9's shape takes the path it
     // is named for: one build, many opens, and an explain() that says so.
+    // (`$t2/kind` atomizes an element, so that conjunct stays a residual.)
     let opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
     let p = e
         .prepare(&q9_shape("and $t2/kind = $t/want"), &opts)
         .unwrap();
     let text = p.explain();
     assert!(
-        text.contains("residual: 1 (memoized 1); inner side: once per run"),
+        text.contains("TreeJoin[attribute::id](IN#")
+            && text.contains("; residual: 1; inner side: once per run"),
         "{text}"
     );
     p.run(&e).unwrap();

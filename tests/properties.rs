@@ -224,6 +224,78 @@ proptest! {
     }
 }
 
+// ===== join-key promotion pre-check =========================================
+
+/// Strings near the lexical forms the hash join's untyped promotion tries:
+/// numerals, Rust-only float words, dates, times, dateTimes, booleans,
+/// and random text over their alphabet plus two multi-byte characters.
+fn near_lexical() -> impl Strategy<Value = String> {
+    const ALPHABET: &[char] = &[
+        '0', '1', '2', '9', '-', '+', ':', '.', 'T', 'Z', 'e', 'E', 'I', 'N', 'F', 'a', 'n', 'i',
+        'f', 't', 'y', 'r', 'u', 'l', 's', 'x', ' ', 'é', '€',
+    ];
+    let tz = || {
+        prop_oneof![
+            Just(String::new()),
+            Just("Z".to_string()),
+            (0u32..16, 0u32..61).prop_map(|(h, m)| format!("+{h:02}:{m:02}")),
+            (0u32..16, 0u32..61).prop_map(|(h, m)| format!("-{h:02}:{m:02}")),
+        ]
+    };
+    prop_oneof![
+        prop::collection::vec(0usize..ALPHABET.len(), 0..14)
+            .prop_map(|ix| ix.iter().map(|&i| ALPHABET[i]).collect::<String>()),
+        (0i64..3000, 0i64..15, 0i64..34, tz())
+            .prop_map(|(y, m, d, z)| format!("{y:04}-{m:02}-{d:02}{z}")),
+        (0i64..26, 0i64..62, 0i64..62, 0i64..1000, tz())
+            .prop_map(|(h, m, s, f, z)| format!("{h:02}:{m:02}:{s:02}.{f}{z}")),
+        (1990i64..2010, 1i64..13, 1i64..29, 0i64..25, tz())
+            .prop_map(|(y, m, d, h, z)| format!("{y}-{m:02}-{d:02}T{h:02}:30:00{z}")),
+        (-1000i64..1000, 0i64..100, -30i64..30).prop_map(|(i, f, e)| format!(" {i}.{f}e{e}")),
+        prop_oneof![
+            Just("inf"),
+            Just("-Infinity"),
+            Just("NaN"),
+            Just("nan"),
+            Just("+INF"),
+            Just("true"),
+            Just(" 0 "),
+            Just("false"),
+            Just("1."),
+            Just(".5"),
+            Just("."),
+            Just("-")
+        ]
+        .prop_map(str::to_string),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The hash join's promotion pre-check never rules out a string the
+    /// cast accepts, so pre-check plus cast accepts exactly what
+    /// `cast_from_string` does; and the `xs:double` grammar is Rust's
+    /// float grammar except for the words Rust alone takes.
+    #[test]
+    fn promotion_pre_check_agrees_with_the_cast(s in near_lexical()) {
+        use xqr::types::cast::cast_from_string;
+        use xqr::types::convert::may_cast_from_string;
+        use xqr::xml::AtomicType as T;
+        let t = s.trim();
+        for ty in [T::Double, T::Float, T::Date, T::Time, T::DateTime, T::Boolean] {
+            let cast = cast_from_string(&s, ty).is_ok();
+            prop_assert_eq!(may_cast_from_string(t, ty) && cast, cast, "{:?} as {}", s, ty);
+        }
+        let rust_only = {
+            let w = t.trim_start_matches(['+', '-']).to_ascii_lowercase();
+            matches!(w.as_str(), "inf" | "infinity" | "nan") && !matches!(t, "INF" | "+INF" | "-INF" | "NaN")
+        };
+        let rust = t.parse::<f64>().is_ok() || matches!(t, "INF" | "+INF" | "-INF" | "NaN");
+        prop_assert_eq!(xqr::xml::atomic::is_double_lexical(t), rust && !rust_only, "{:?}", s);
+    }
+}
+
 // ===== random nested-FLWOR generator =======================================
 
 /// Builds a nested FLWOR query of the given shape: level k iterates its

@@ -193,6 +193,48 @@ fn xmark_join_queries_spilled_match_in_memory() {
     }
 }
 
+/// Clio N3's innermost join probes one composite key (`author` and
+/// `year`): out of core it partitions on that key, and must answer as the
+/// in-memory index does.
+#[test]
+fn clio_n3_composite_key_spilled_matches_in_memory() {
+    let _l = lock();
+    let mut e = Engine::new();
+    let xml = xqr_clio::generate_dblp(&xqr_clio::DblpOptions::for_bytes(6_000));
+    e.bind_document("dblp.xml", &xml).unwrap();
+    let n3 = xqr_clio::mapping_query(3);
+    assert_spill_matches_in_memory(&e, &n3, "Clio N3");
+    // Behind the prolog every outer join runs the Grace join, the
+    // composite-key one included.
+    let p = e
+        .prepare(
+            &format!("{FLIP_FIRST}{n3}"),
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin)
+                .limits(spilled_limits())
+                .with_profiling(),
+        )
+        .unwrap();
+    p.run_to_string(&e).expect("spilled run succeeds");
+    let plan = p.explain();
+    let label = |l: &str| {
+        let join = l.split_whitespace().find(|w| w.starts_with("LOuterJoin["));
+        join.unwrap_or_default().to_string()
+    };
+    let composite: Vec<String> = plan
+        .lines()
+        .filter(|l| l.contains(") and "))
+        .map(label)
+        .collect();
+    assert_eq!(composite.len(), 1, "{plan}");
+    let analyze = p.explain_analyze();
+    let line = analyze.lines().find(|l| label(l) == composite[0]);
+    assert!(
+        line.is_some_and(|l| l.contains("spill_parts=")),
+        "{}:\n{analyze}",
+        composite[0]
+    );
+}
+
 /// The acceptance gate: the whole XMark suite under a 256 KB byte budget
 /// (every memory-hungry query degrades to disk) agrees with the unlimited
 /// in-memory run.
