@@ -98,7 +98,7 @@ fn run_connections(xml: &str, connections: usize, per_conn: usize) -> Connection
                 for i in 0..per_conn {
                     let q = xqr_xmark::query(QUERIES[(c + i) % QUERIES.len()]);
                     let t = Instant::now();
-                    let status = post(addr, &q);
+                    let status = post(addr, q);
                     assert_eq!(status, 200, "benchmark queries succeed");
                     latencies.push(t.elapsed().as_nanos() as u64);
                 }
@@ -151,7 +151,7 @@ fn run_overload(xml: &str, sustainable_qps: f64, offered: usize) -> OverloadRow 
                 let t0 = Instant::now();
                 for i in 0..per_client {
                     let q = xqr_xmark::query(QUERIES[(c + i) % QUERIES.len()]);
-                    match post(addr, &q) {
+                    match post(addr, q) {
                         200 => ok.fetch_add(1, Ordering::Relaxed),
                         429 => shed.fetch_add(1, Ordering::Relaxed),
                         _ => other.fetch_add(1, Ordering::Relaxed),
@@ -207,7 +207,7 @@ fn run_drain(xml: &str) -> DrainRow {
                 let mut i = 0;
                 while !stop.load(Ordering::Relaxed) {
                     let q = xqr_xmark::query(QUERIES[(c + i) % QUERIES.len()]);
-                    let _ = post(addr, &q); // refusals expected once draining
+                    let _ = post(addr, q); // refusals expected once draining
                     i += 1;
                 }
             })

@@ -2,7 +2,8 @@
 //!
 //! These power the side conditions of the Fig. 5 rewritings ("when Op₁
 //! independent of IN") and the hash join's key splitting (which side of a
-//! join does each operand of an equality depend on?).
+//! join does each operand of an equality depend on?). Each question has
+//! one walk here.
 
 use std::collections::BTreeSet;
 
@@ -20,187 +21,104 @@ pub fn uses_input(p: &Plan) -> bool {
         .any(|(c, kind)| *kind == ChildKind::Inherit && uses_input(c))
 }
 
-/// The fields accessed on the free `IN` of this plan (`IN#q` occurrences).
-pub fn used_input_fields(p: &Plan) -> BTreeSet<Field> {
+/// The fields of the free `IN` this plan reads (`IN#q` occurrences), or
+/// `None` when it hands the whole tuple to a sub-plan (anything but
+/// `IN#q`): a dependent child of that sub-plan can read any field.
+pub fn used_input_fields(p: &Plan) -> Option<BTreeSet<Field>> {
+    fn walk(p: &Plan, out: &mut BTreeSet<Field>) -> Option<()> {
+        match &p.op {
+            Op::Input => return None,
+            Op::FieldAccess { field, input } if matches!(input.op, Op::Input) => {
+                out.insert(field.clone());
+            }
+            op => {
+                for (c, kind) in op.children() {
+                    if kind == ChildKind::Inherit {
+                        walk(c, out)?;
+                    }
+                }
+            }
+        }
+        Some(())
+    }
     let mut out = BTreeSet::new();
-    collect_used(p, &mut out);
-    out
+    walk(p, &mut out).map(|()| out)
 }
 
-fn collect_used(p: &Plan, out: &mut BTreeSet<Field>) {
-    if let Op::FieldAccess { field, input } = &p.op {
-        if matches!(input.op, Op::Input) {
-            out.insert(field.clone());
+/// Flattens the `Cond{then}(cond)` chains (with a `false` else branch)
+/// that `and` lowers to into `out`, in predicate order.
+pub fn conjuncts<'p>(pred: &'p Plan, out: &mut Vec<&'p Plan>) {
+    if let Op::Cond { cond, then, els } = &pred.op {
+        if matches!(&els.op, Op::Scalar(xqr_xml::AtomicValue::Boolean(false))) {
+            conjuncts(cond, out);
+            conjuncts(then, out);
+            return;
         }
     }
-    for (c, kind) in p.op.children() {
-        if kind == ChildKind::Inherit {
-            collect_used(c, out);
-        }
-    }
+    out.push(pred);
 }
 
-/// Does this plan hand the whole `IN` tuple to a sub-plan (anything but
-/// `IN#q`)? Then [`used_input_fields`] under-reports what it reads: a
-/// dependent child of that sub-plan can access any field of the tuple.
-pub fn passes_whole_input(p: &Plan) -> bool {
+/// The tuple fields this (table-producing) plan outputs, and whether the
+/// set is exact — so callers may test disjointness as well as
+/// containment. An inexact set holds the fields the plan itself
+/// introduces: `IN` used as a table contributes none (its fields depend
+/// on the enclosing context), and a conditional contributes those its
+/// branches share.
+pub fn output_fields(p: &Plan) -> (BTreeSet<Field>, bool) {
     match &p.op {
-        Op::Input => true,
-        Op::FieldAccess { input, .. } if matches!(input.op, Op::Input) => false,
-        op => op
-            .children()
-            .iter()
-            .any(|(c, kind)| *kind == ChildKind::Inherit && passes_whole_input(c)),
-    }
-}
-
-/// Infers the set of tuple fields this (table-producing) plan outputs —
-/// exactly, so callers may test disjointness as well as containment.
-/// `None` means unknown: the plan is `IN` used as a table (its fields
-/// depend on the enclosing context), or a conditional whose branches
-/// produce different fields.
-pub fn output_fields(p: &Plan) -> Option<BTreeSet<Field>> {
-    match &p.op {
-        Op::TupleTable => Some(BTreeSet::new()),
-        Op::Input => None,
-        Op::Tuple(fields) => Some(fields.iter().map(|(f, _)| f.clone()).collect()),
-        Op::TupleConcat(a, b) => {
-            let mut fa = output_fields(a)?;
-            fa.extend(output_fields(b)?);
-            Some(fa)
+        Op::Input => (BTreeSet::new(), false),
+        Op::Tuple(fields) => (fields.iter().map(|(f, _)| f.clone()).collect(), true),
+        Op::Cond { then, els, .. } => {
+            let (ft, exact_t) = output_fields(then);
+            let (fe, exact_e) = output_fields(els);
+            let exact = exact_t && exact_e && ft == fe;
+            (ft.intersection(&fe).cloned().collect(), exact)
         }
         Op::Select { input, .. } | Op::OrderBy { input, .. } => output_fields(input),
-        Op::Product(a, b) => {
-            let mut fa = output_fields(a)?;
-            fa.extend(output_fields(b)?);
-            Some(fa)
+        Op::MapOp { dep, .. } | Op::MapFromItem { dep, .. } => output_fields(dep),
+        Op::TupleConcat(a, b)
+        | Op::Product(a, b)
+        | Op::Join {
+            left: a, right: b, ..
         }
-        Op::Join { left, right, .. } => {
-            let mut fa = output_fields(left)?;
-            fa.extend(output_fields(right)?);
-            Some(fa)
-        }
+        | Op::MapConcat { input: a, dep: b } => union(&[a, b], None),
         Op::LOuterJoin {
             null_field,
-            left,
-            right,
+            left: a,
+            right: b,
             ..
-        } => {
-            let mut fa = output_fields(left)?;
-            fa.extend(output_fields(right)?);
-            fa.insert(null_field.clone());
-            Some(fa)
         }
-        Op::MapOp { dep, .. } => output_fields(dep),
-        Op::OMap { null_field, input } => {
-            let mut fa = output_fields(input)?;
-            fa.insert(null_field.clone());
-            Some(fa)
-        }
-        Op::MapConcat { dep, input } => {
-            let mut fa = output_fields(input)?;
-            fa.extend(output_fields(dep)?);
-            Some(fa)
-        }
-        Op::OMapConcat {
+        | Op::OMapConcat {
             null_field,
-            dep,
+            input: a,
+            dep: b,
+        } => union(&[a, b], Some(null_field)),
+        Op::OMap {
+            null_field: own,
             input,
-        } => {
-            let mut fa = output_fields(input)?;
-            fa.extend(output_fields(dep)?);
-            fa.insert(null_field.clone());
-            Some(fa)
         }
-        Op::MapIndex { field, input } | Op::MapIndexStep { field, input } => {
-            let mut fa = output_fields(input)?;
-            fa.insert(field.clone());
-            Some(fa)
-        }
-        Op::GroupBy { agg, input, .. } => {
-            let mut fa = output_fields(input)?;
-            fa.insert(agg.clone());
-            Some(fa)
-        }
-        Op::MapFromItem { dep, .. } => output_fields(dep),
-        Op::Cond { then, els, .. } => {
-            let ft = output_fields(then)?;
-            (output_fields(els)? == ft).then_some(ft)
-        }
-        // Item-producing operators have no tuple fields.
-        _ => Some(BTreeSet::new()),
+        | Op::MapIndex { field: own, input }
+        | Op::MapIndexStep { field: own, input }
+        | Op::GroupBy {
+            agg: own, input, ..
+        } => union(&[input], Some(own)),
+        // Item-producing operators (and the empty `TupleTable`) have no
+        // tuple fields.
+        _ => (BTreeSet::new(), true),
     }
 }
 
-/// Like [`output_fields`], but returns only the fields this plan *itself*
-/// introduces: `IN` contributes nothing instead of poisoning the analysis.
-/// Used by rewrite guards that ask "which fields disappear when this
-/// subtree produces no tuples?".
-pub fn known_output_fields(p: &Plan) -> BTreeSet<Field> {
-    match &p.op {
-        Op::TupleTable | Op::Input => BTreeSet::new(),
-        Op::Tuple(fields) => fields.iter().map(|(f, _)| f.clone()).collect(),
-        Op::TupleConcat(a, b) | Op::Product(a, b) => {
-            let mut fa = known_output_fields(a);
-            fa.extend(known_output_fields(b));
-            fa
-        }
-        Op::Select { input, .. } | Op::OrderBy { input, .. } => known_output_fields(input),
-        Op::Join { left, right, .. } => {
-            let mut fa = known_output_fields(left);
-            fa.extend(known_output_fields(right));
-            fa
-        }
-        Op::LOuterJoin {
-            null_field,
-            left,
-            right,
-            ..
-        } => {
-            let mut fa = known_output_fields(left);
-            fa.extend(known_output_fields(right));
-            fa.insert(null_field.clone());
-            fa
-        }
-        Op::MapOp { dep, .. } => known_output_fields(dep),
-        Op::OMap { null_field, input } => {
-            let mut fa = known_output_fields(input);
-            fa.insert(null_field.clone());
-            fa
-        }
-        Op::MapConcat { dep, input } => {
-            let mut fa = known_output_fields(input);
-            fa.extend(known_output_fields(dep));
-            fa
-        }
-        Op::OMapConcat {
-            null_field,
-            dep,
-            input,
-        } => {
-            let mut fa = known_output_fields(input);
-            fa.extend(known_output_fields(dep));
-            fa.insert(null_field.clone());
-            fa
-        }
-        Op::MapIndex { field, input } | Op::MapIndexStep { field, input } => {
-            let mut fa = known_output_fields(input);
-            fa.insert(field.clone());
-            fa
-        }
-        Op::GroupBy { agg, input, .. } => {
-            let mut fa = known_output_fields(input);
-            fa.insert(agg.clone());
-            fa
-        }
-        Op::MapFromItem { dep, .. } => known_output_fields(dep),
-        Op::Cond { then, els, .. } => {
-            let ft = known_output_fields(then);
-            let fe = known_output_fields(els);
-            ft.intersection(&fe).cloned().collect()
-        }
-        _ => BTreeSet::new(),
+/// [`output_fields`] of several plans, plus the field `own` an operator
+/// adds.
+fn union(parts: &[&Plan], own: Option<&Field>) -> (BTreeSet<Field>, bool) {
+    let mut out: BTreeSet<Field> = own.into_iter().cloned().collect();
+    let mut exact = true;
+    for c in parts {
+        let (fields, e) = output_fields(c);
+        out.extend(fields);
+        exact &= e;
     }
+    (out, exact)
 }
 
 #[cfg(test)]
@@ -233,7 +151,7 @@ mod tests {
             name: xqr_xml::QName::local("fs:general-eq"),
             args: vec![Plan::in_field("t"), Plan::in_field("p")],
         });
-        let used = used_input_fields(&p);
+        let used = used_input_fields(&p).unwrap();
         assert_eq!(used.len(), 2);
         assert!(used.contains("t") && used.contains("p"));
         // Fields accessed under a rebinding dep are not free.
@@ -244,7 +162,23 @@ mod tests {
             }),
             input: Plan::boxed(Op::TupleTable),
         });
-        assert!(used_input_fields(&p).is_empty());
+        assert_eq!(used_input_fields(&p), Some(BTreeSet::new()));
+    }
+
+    #[test]
+    fn conjunct_flattening() {
+        // and-chains become Cond{b}(a) with else=false.
+        let eq = |l: &str, r: &str| {
+            Plan::call("fs:general-eq", vec![Plan::in_field(l), Plan::in_field(r)])
+        };
+        let pred = Plan::new(Op::Cond {
+            cond: Box::new(eq("l", "r")),
+            then: Box::new(eq("l2", "r2")),
+            els: Plan::boxed(Op::Scalar(AtomicValue::Boolean(false))),
+        });
+        let mut cs = Vec::new();
+        conjuncts(&pred, &mut cs);
+        assert_eq!(cs.len(), 2);
     }
 
     #[test]
@@ -260,7 +194,8 @@ mod tests {
             })),
             right: Box::new(auctions),
         });
-        let fields = output_fields(&join).unwrap();
+        let (fields, exact) = output_fields(&join);
+        assert!(exact);
         let names: Vec<&str> = fields.iter().map(|f| &**f).collect();
         assert_eq!(names, ["index", "null", "p", "t"]);
     }
@@ -268,13 +203,15 @@ mod tests {
     #[test]
     fn whole_input_is_not_a_field_read() {
         // IN#x reads one field; `IN` under a map hands the tuple on.
-        assert!(!passes_whole_input(&Plan::in_field("x")));
+        assert_eq!(
+            used_input_fields(&Plan::in_field("x")).map(|f| f.len()),
+            Some(1)
+        );
         let p = Plan::new(Op::MapToItem {
             dep: Box::new(Plan::in_field("hidden")),
             input: Plan::boxed(Op::Input),
         });
-        assert!(passes_whole_input(&p));
-        assert!(used_input_fields(&p).is_empty());
+        assert_eq!(used_input_fields(&p), None);
     }
 
     #[test]
@@ -288,17 +225,20 @@ mod tests {
         };
         let var = || Plan::new(Op::Var(xqr_xml::QName::local("v")));
         let same = cond(mfi("a", var()), mfi("a", var()));
-        assert_eq!(output_fields(&same).map(|f| f.len()), Some(1));
-        assert_eq!(output_fields(&cond(mfi("a", var()), mfi("b", var()))), None);
+        assert_eq!(output_fields(&same), (BTreeSet::from(["a".into()]), true));
+        // Differing branches: inexact, and only the shared fields are known.
+        let differ = cond(mfi("a", var()), mfi("b", var()));
+        assert_eq!(output_fields(&differ), (BTreeSet::new(), false));
     }
 
     #[test]
     fn unknown_fields_for_raw_input() {
-        assert_eq!(output_fields(&Plan::input()), None);
+        assert_eq!(output_fields(&Plan::input()), (BTreeSet::new(), false));
+        // `IN` poisons exactness but not the fields the plan adds itself.
         let p = Plan::new(Op::MapConcat {
             dep: Plan::boxed(Op::Tuple(vec![("a".into(), Plan::input())])),
             input: Plan::boxed(Op::Input),
         });
-        assert_eq!(output_fields(&p), None);
+        assert_eq!(output_fields(&p), (BTreeSet::from(["a".into()]), false));
     }
 }

@@ -92,21 +92,6 @@ pub fn fusable_operand(p: &Plan) -> bool {
     }
 }
 
-/// Does this plan read the input tuple at all? Allocation-free variant of
-/// `fields::used_input_fields(p).is_empty()` for the per-cursor-open hot
-/// path: a `false` operand is a per-query constant the kernels evaluate
-/// once.
-pub fn uses_input(p: &Plan) -> bool {
-    if matches!(&p.op, Op::Input | Op::FieldAccess { .. }) {
-        return true;
-    }
-    // Only `Inherit` children see this plan's `IN`; children that rebind
-    // it (dependent sub-plans) read their own tuple.
-    p.op.children()
-        .into_iter()
-        .any(|(c, kind)| kind == crate::algebra::ChildKind::Inherit && uses_input(c))
-}
-
 /// [`comparison_split`] restricted to predicates whose operands are both
 /// fusable chains — the exact shape the batched kernels accept.
 pub fn fusable_comparison(pred: &Plan) -> Option<ComparisonSplit<'_>> {

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 use crate::algebra::{Field, Op, Plan};
 use crate::compile::CompiledModule;
-use crate::fields::uses_input;
+use crate::fields::{conjuncts, output_fields, used_input_fields, uses_input};
 
 /// Which rule families the rewriter applies — the ablation knobs used by
 /// `benches/ablation.rs` to quantify each design choice of Section 5.
@@ -667,19 +667,10 @@ fn push_omap_concat_into_outer_join(p: &mut Plan, stats: &mut RewriteStats) -> b
 }
 
 /// Does some general-comparison conjunct of `pred` read fields that only
-/// the (unnested) left input produces?
+/// the (unnested) left input produces? An operand that hands the whole
+/// tuple on proves nothing.
 fn pred_rejects_empty_left(pred: &Plan, left: &Plan) -> bool {
-    fn conjuncts<'p>(p: &'p Plan, out: &mut Vec<&'p Plan>) {
-        if let Op::Cond { cond, then, els } = &p.op {
-            if matches!(&els.op, Op::Scalar(xqr_xml::AtomicValue::Boolean(false))) {
-                conjuncts(cond, out);
-                conjuncts(then, out);
-                return;
-            }
-        }
-        out.push(p);
-    }
-    let left_fields = crate::fields::known_output_fields(left);
+    let (left_fields, _) = output_fields(left);
     if left_fields.is_empty() {
         return false;
     }
@@ -693,8 +684,7 @@ fn pred_rejects_empty_left(pred: &Plan, left: &Plan) -> bool {
             return false;
         }
         args.iter().any(|a| {
-            let used = crate::fields::used_input_fields(a);
-            !used.is_empty() && used.iter().any(|f| left_fields.contains(f))
+            matches!(used_input_fields(a), Some(used) if used.iter().any(|f| left_fields.contains(f)))
         })
     })
 }

@@ -38,7 +38,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use xqr_core::algebra::{Op, Plan};
-use xqr_core::fuse::{fusable_comparison, uses_input, ComparisonSplit};
+use xqr_core::fields::uses_input;
+use xqr_core::fuse::{fusable_comparison, ComparisonSplit};
 use xqr_types::convert::{comparable_types, convert_operand};
 use xqr_types::promote_numeric;
 use xqr_xml::{AtomicType, AtomicValue, XmlError};

@@ -10,9 +10,10 @@
 //! other content expression is evaluated to items, and its nodes are
 //! deep-copied (fresh identity, shared strings: [`TreeBuilder::copy_node`]).
 //!
-//! The Core interpreter builds through [`construct_element`], which
-//! finishes each element and copies it into its parent. The oracle shares
-//! only the content rules (`Content`), never the plan walk.
+//! The Core interpreter builds through [`construct_element`] (which
+//! finishes each element and copies it into its parent) and
+//! [`construct_document`]. The oracle shares only the content rules
+//! (`Content`), never the plan walk.
 
 use xqr_core::algebra::{NamePlan, Op, Plan};
 use xqr_xml::{AtomicValue, Item, NodeHandle, NodeKind, QName, Sequence, TreeBuilder, XmlError};
@@ -29,17 +30,26 @@ pub(crate) fn construct_node(
     ctx: &mut Ctx<'_>,
     input: Option<&InputVal>,
 ) -> xqr_xml::Result<Value> {
-    let mut w = Content::new();
     if let Op::DocumentNode(c) = &plan.op {
-        let items = eval_items(c, ctx, input)?;
-        w.b.start_document();
-        w.items(&items);
-        w.flush_text();
-        w.b.end_document();
-    } else if w.construct(plan, ctx, input)? == 0 {
+        let doc = construct_document(&eval_items(c, ctx, input)?)?;
+        return Ok(Value::Items(Sequence::singleton(doc)));
+    }
+    let mut w = Content::new();
+    if w.construct(plan, ctx, input)? == 0 {
         return Ok(Value::empty_items());
     }
     Ok(Value::Items(Sequence::singleton(w.finish()?)))
+}
+
+/// Document construction over evaluated content, under the element
+/// content rules (§3.7.3.3): adjacent atomic values join with one space.
+pub fn construct_document(items: &Sequence) -> xqr_xml::Result<Item> {
+    let mut w = Content::new();
+    w.b.start_document();
+    w.items(items);
+    w.flush_text();
+    w.b.end_document();
+    w.finish()
 }
 
 /// Element construction over evaluated content: copies content (fresh

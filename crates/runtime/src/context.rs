@@ -47,19 +47,16 @@ pub struct Ctx<'a> {
     /// keyed by plan address. A step inside a per-tuple dependent plan is
     /// re-evaluated once per row; without this it recompiles its node test
     /// (a `QName` allocation plus an interned-name hash lookup) every
-    /// time. Addresses can be recycled mid-run (per-call function-body
-    /// clones), which is safe: the cache verifies its own `(axis, test)`
-    /// site and self-clears on mismatch (see `xqr_xml::axes::TestCache`).
+    /// time. Every plan node, function bodies included, keeps its address
+    /// for the whole run.
     step_tests: std::cell::RefCell<
         HashMap<usize, std::rc::Rc<std::cell::RefCell<xqr_xml::axes::TestCache>>>,
     >,
     /// Loop-invariant join inner sides, built once per run and shared by
     /// later opens of the same join, keyed by the join's plan address.
-    /// Unlike `step_tests` an entry cannot verify its own site, so entries
-    /// are made and read only while no function frame is active: the
-    /// module body and the globals' plans keep their addresses for the
-    /// whole run, per-call function-body clones do not (and their inner
-    /// sides may read parameters, which vary between calls).
+    /// Entries are made and read only while no function frame is active:
+    /// an inner side in a function body may read parameters, which vary
+    /// between calls.
     join_builds: HashMap<usize, std::rc::Rc<crate::joins::JoinBuild>>,
 }
 

@@ -24,9 +24,8 @@ use crate::value::{InputVal, Table, Tuple, Value};
 /// (already in `ctx.globals`) wins and is checked against the declared
 /// type; otherwise the compiled default plan runs; otherwise `XPDY0002`.
 pub fn eval_module(ctx: &mut Ctx<'_>) -> xqr_xml::Result<Sequence> {
-    // Globals run from the module's own plans (not per-run clones), so
-    // their nodes keep one address all run: `Ctx::shared_join_build` keys
-    // on it.
+    // Globals and the body run from the module's own plans, so their
+    // nodes keep one address all run: `Ctx::shared_join_build` keys on it.
     let module = ctx.module;
     for g in &module.globals {
         if g.external {
@@ -58,14 +57,11 @@ pub fn eval_module(ctx: &mut Ctx<'_>) -> xqr_xml::Result<Sequence> {
             ctx.globals.insert(g.name.clone(), v);
         }
     }
-    let body = ctx.module.body.clone();
-    // The profiler keys stats by node address over this exact clone; the
-    // clone outlives evaluation, so registered addresses stay valid for
-    // the whole run (globals and per-call function bodies run unprofiled).
+    // Globals and function bodies run unprofiled.
     if let Some(p) = &ctx.profiler {
-        p.register(&body);
+        p.register(&module.body);
     }
-    eval_plan(&body, ctx)
+    eval_plan(&module.body, ctx)
 }
 
 /// Evaluates a plan with no `IN` in scope, expecting an item sequence.
@@ -503,12 +499,12 @@ fn call_function(name: &QName, argv: Vec<Sequence>, ctx: &mut Ctx<'_>) -> xqr_xm
         };
         return Ok(Value::Items(call_builtin(local, &argv, &bctx)?));
     }
-    // User-defined function from the algebra context.
-    let func = ctx
-        .module
+    // User-defined function from the algebra context, borrowed: its body
+    // keeps one address for the whole run.
+    let module = ctx.module;
+    let func = module
         .functions
         .get(name)
-        .cloned()
         .ok_or_else(|| XmlError::new("XPST0017", format!("unknown function {name}()")))?;
     if func.params.len() != argv.len() {
         return Err(XmlError::new(

@@ -20,7 +20,9 @@ use xqr_xml::axes::tree_join_governed;
 use xqr_xml::{AtomicValue, Governor, NodeHandle, QName, Sequence, SequenceBuilder, XmlError};
 
 use crate::compare::{atomize_optional, effective_boolean_value, order_key_compare};
-use crate::construct::{construct_attribute, construct_element, construct_text};
+use crate::construct::{
+    construct_attribute, construct_document, construct_element, construct_text,
+};
 use crate::functions::{call_builtin, is_builtin, BuiltinCtx};
 
 /// A persistent environment: a linked list searched front-to-back — the
@@ -300,16 +302,7 @@ impl<'a> Interp<'a> {
             }
             CoreExpr::DocumentCtor(c) => {
                 let items = self.eval(c, env)?;
-                let mut b = xqr_xml::TreeBuilder::new();
-                b.start_document();
-                for item in items.iter() {
-                    match item {
-                        xqr_xml::Item::Node(n) => b.copy_node(n),
-                        xqr_xml::Item::Atomic(a) => b.text(&a.string_value()),
-                    }
-                }
-                b.end_document();
-                Ok(Sequence::singleton(b.try_finish(None)?.root()))
+                Ok(Sequence::singleton_item(construct_document(&items)?))
             }
             CoreExpr::Cast { expr, ty, optional } => {
                 let items = self.eval(expr, env)?;

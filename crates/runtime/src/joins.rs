@@ -36,8 +36,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use xqr_core::algebra::{Op, Plan};
-use xqr_core::fields::{output_fields, passes_whole_input, used_input_fields};
-use xqr_core::fuse::uses_input;
+use xqr_core::fields::{conjuncts, output_fields, used_input_fields, uses_input};
 use xqr_types::convert::{comparable_types, promote_to_simple_types};
 use xqr_xml::{AtomicType, AtomicValue, Axis, KindTest, NodeTest};
 
@@ -185,9 +184,7 @@ impl<'p> JoinProbe<'p> {
                     .as_ref()
                     .expect("indexed probe over its own build");
                 let candidates = all_matches(index, lt, split, ctx)?;
-                keep_holding(&split.residual, lt, right, candidates, flag, ctx, |_, t| {
-                    out.push(t)
-                })?;
+                keep_holding(split, lt, right, candidates, flag, ctx, |_, t| out.push(t))?;
             }
         }
         Ok(out)
@@ -197,21 +194,29 @@ impl<'p> JoinProbe<'p> {
 /// Fig. 6 `equalityJoin`'s last step: joins `lt` with each index
 /// candidate (in inner order) and hands `emit` the joined tuples on which
 /// every residual conjunct holds — the one residual path, per pair, on the
-/// joined tuple.
+/// joined tuple. No candidates ([`all_matches`] gave `None`) means every
+/// row of `right`, under the whole predicate.
 pub(crate) fn keep_holding(
-    residual: &[&Plan],
+    split: &SplitPredicate<'_>,
     lt: &Tuple,
     right: &Table,
-    candidates: Vec<usize>,
+    candidates: Option<Vec<usize>>,
     flag: Option<&NullFlag>,
     ctx: &mut Ctx<'_>,
     mut emit: impl FnMut(usize, Tuple),
 ) -> xqr_xml::Result<()> {
+    let (candidates, checks) = match candidates {
+        Some(c) => (c, split.residual.as_slice()),
+        None => (
+            (0..right.len()).collect(),
+            std::slice::from_ref(&split.pred),
+        ),
+    };
     'candidates: for idx in candidates {
         // Move the joined tuple into the binding and back out: no
         // per-pair clone.
         let input = InputVal::Tuple(joined(lt, &right[idx], flag));
-        for p in residual {
+        for p in checks {
             if !effective_boolean_value(&eval_dep_items(p, ctx, &input)?)? {
                 continue 'candidates;
             }
@@ -249,14 +254,15 @@ pub(crate) fn split_by_side<'p>(
     left_plan: &Plan,
     right_plan: &Plan,
 ) -> Option<SideSplit<'p>> {
-    if passes_whole_input(lhs) || passes_whole_input(rhs) {
+    let (Some(a), Some(b)) = (used_input_fields(lhs), used_input_fields(rhs)) else {
         return None;
-    }
-    let right = output_fields(right_plan)?;
-    let left = output_fields(left_plan);
-    let (a, b) = (used_input_fields(lhs), used_input_fields(rhs));
+    };
+    let (right, true) = output_fields(right_plan) else {
+        return None;
+    };
+    let (left, left_exact) = output_fields(left_plan);
     let outer = |u: &std::collections::BTreeSet<_>| {
-        u.is_disjoint(&right) && left.as_ref().is_none_or(|l| u.is_subset(l))
+        u.is_disjoint(&right) && (!left_exact || u.is_subset(&left))
     };
     let (outer, inner, swapped) = if outer(&a) && b.is_subset(&right) {
         (lhs, rhs, false)
@@ -269,13 +275,16 @@ pub(crate) fn split_by_side<'p>(
         outer,
         inner,
         swapped,
-        in_rooted: left.is_none(),
+        in_rooted: !left_exact,
     })
 }
 
 /// The index key (one or more equality components) plus the residual
 /// conjuncts.
 pub struct SplitPredicate<'p> {
+    /// The whole predicate, for outer tuples the index cannot probe (see
+    /// [`for_each_key`]).
+    pub pred: &'p Plan,
     /// The key's components, in predicate order; the first is the first
     /// separable equality, the rest are those that cannot raise.
     pub keys: Vec<KeyComponent<'p>>,
@@ -286,56 +295,6 @@ pub struct SplitPredicate<'p> {
 pub struct KeyComponent<'p> {
     pub outer: &'p Plan,
     pub inner: &'p Plan,
-    /// When static analysis proves both key expressions produce the same
-    /// comparable type, keys are stored/probed at that single type instead
-    /// of enumerating every promotion — the specialization the paper
-    /// suggests ("if we can infer statically that both operands are
-    /// integers, we can build a key directly on the integer value").
-    pub specialized: Option<AtomicType>,
-}
-
-/// Conservative static type inference for join-key expressions.
-pub fn static_key_type(p: &Plan) -> Option<AtomicType> {
-    match &p.op {
-        Op::Scalar(v) => Some(v.type_of()),
-        Op::Cast { ty, .. } => Some(*ty),
-        Op::Call { name, args } => match name.local_part() {
-            "count" | "string-length" | "op:to" => Some(AtomicType::Integer),
-            "string" | "concat" | "string-join" | "substring" | "upper-case" | "lower-case"
-            | "normalize-space" | "translate" | "fs:avt" => Some(AtomicType::String),
-            "number" => Some(AtomicType::Double),
-            "fs:numeric-add" | "fs:numeric-subtract" | "fs:numeric-multiply" => {
-                let a = static_key_type(args.first()?)?;
-                let b = static_key_type(args.get(1)?)?;
-                xqr_types::widest_numeric(a, b)
-            }
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// The single comparison type when both static key types are known and
-/// comparable without the untyped rules.
-fn specialized_type(l: &Plan, r: &Plan) -> Option<AtomicType> {
-    let lt = static_key_type(l)?;
-    let rt = static_key_type(r)?;
-    if lt == AtomicType::UntypedAtomic || rt == AtomicType::UntypedAtomic {
-        return None;
-    }
-    comparable_types(lt, rt)
-}
-
-/// Flattens the `Cond{then}(cond)` conjunction chains that `and` lowers to.
-fn conjuncts<'p>(pred: &'p Plan, out: &mut Vec<&'p Plan>) {
-    if let Op::Cond { cond, then, els } = &pred.op {
-        if matches!(&els.op, Op::Scalar(AtomicValue::Boolean(false))) {
-            conjuncts(cond, out);
-            conjuncts(then, out);
-            return;
-        }
-    }
-    out.push(pred);
 }
 
 /// Splits a join predicate into its index key and residual conjuncts.
@@ -376,12 +335,9 @@ pub fn analyze_predicate<'p>(
                     || cannot_raise(s.outer, left_plan) && cannot_raise(s.inner, right_plan) =>
             {
                 in_rooted |= s.in_rooted;
-                let specialized = specialized_type(s.outer, s.inner);
-                let (outer, inner) = (s.outer, s.inner);
                 keys.push(KeyComponent {
-                    outer,
-                    inner,
-                    specialized,
+                    outer: s.outer,
+                    inner: s.inner,
                 });
             }
             _ => residual.push(c),
@@ -390,7 +346,11 @@ pub fn analyze_predicate<'p>(
     if keys.is_empty() || (in_rooted && !shared_build) {
         return None;
     }
-    Some(SplitPredicate { keys, residual })
+    Some(SplitPredicate {
+        pred,
+        keys,
+        residual,
+    })
 }
 
 /// Can this key operand be evaluated on every row of its side without
@@ -446,7 +406,7 @@ fn binds_per_node(plan: &Plan, field: &str) -> bool {
 /// out fresh identities per evaluation (`$r | $r`, `is`), so it is built
 /// per open like a variant one.
 pub(crate) fn inner_side_invariant(right_plan: &Plan) -> bool {
-    !xqr_core::fields::uses_input(right_plan) && !constructs_nodes(right_plan)
+    !uses_input(right_plan) && !constructs_nodes(right_plan)
 }
 
 /// Can evaluating this plan create nodes? The constructors, `Validate`
@@ -579,6 +539,8 @@ pub(crate) struct KeyIndex {
     map: KeyMap,
     /// Each entry's original component values, one per key component.
     origs: Vec<AtomicValue>,
+    /// The types of those values that decide how an outer tuple probes.
+    types: KeyTypes,
 }
 
 /// Bytes one index entry is charged at: the entry, its original values,
@@ -593,6 +555,7 @@ impl KeyIndex {
                 _ => KeyMap::Hash(HashMap::new()),
             },
             origs: Vec::new(),
+            types: KeyTypes::default(),
         }
     }
 
@@ -624,10 +587,49 @@ impl KeyIndex {
     }
 }
 
+/// Types that Table 2 compares with an untyped value by casting it, but
+/// that `promoteToSimpleTypes` does not enumerate for it: nearly every
+/// numeric string is also a gYear, a hexBinary and a base64Binary. An
+/// untyped outer value is cast to those of them the index holds.
+const ON_DEMAND: [AtomicType; 8] = [
+    AtomicType::Duration,
+    AtomicType::GYearMonth,
+    AtomicType::GYear,
+    AtomicType::GMonthDay,
+    AtomicType::GDay,
+    AtomicType::GMonth,
+    AtomicType::HexBinary,
+    AtomicType::Base64Binary,
+];
+
+/// Per key component, which of the untyped and [`ON_DEMAND`] types the
+/// inner side's values have, one bit per type.
+#[derive(Default)]
+pub(crate) struct KeyTypes(Vec<u32>);
+
+impl KeyTypes {
+    fn record(&mut self, component: usize, t: AtomicType) {
+        if t == AtomicType::UntypedAtomic || ON_DEMAND.contains(&t) {
+            if self.0.len() <= component {
+                self.0.resize(component + 1, 0);
+            }
+            self.0[component] |= 1 << t as u32;
+        }
+    }
+
+    fn holds(&self, component: usize, t: AtomicType) -> bool {
+        self.0
+            .get(component)
+            .is_some_and(|b| b & (1 << t as u32) != 0)
+    }
+}
+
 /// Which side of a join a key is computed for.
-pub(crate) enum Side {
-    Outer,
-    Inner,
+pub(crate) enum Side<'a> {
+    /// Probing an index whose inner values have these types.
+    Outer(&'a KeyTypes),
+    /// Building, recording the values' types.
+    Inner(&'a mut KeyTypes),
 }
 
 /// Fig. 6 `promoteToSimpleTypes` over a whole key, for one tuple: each
@@ -637,27 +639,53 @@ pub(crate) enum Side {
 /// component. A component with no key (an empty operand, only NaN) means
 /// the tuple has no key, and the components after it are not evaluated.
 /// The Grace join partitions on the same keys.
+///
+/// Returns `false`, having emitted nothing, when an outer value of an
+/// [`ON_DEMAND`] type meets a component whose inner values include
+/// untyped ones: no key of the untyped values anticipates that type, so
+/// the outer tuple meets every inner row under the whole predicate.
 pub(crate) fn for_each_key(
     split: &SplitPredicate<'_>,
-    side: Side,
+    mut side: Side<'_>,
     tup: &Tuple,
     ctx: &mut Ctx<'_>,
     mut emit: impl FnMut(&[KeyPart], &[&AtomicValue]) -> xqr_xml::Result<()>,
-) -> xqr_xml::Result<()> {
+) -> xqr_xml::Result<bool> {
     let input = InputVal::Tuple(tup.clone());
     // Per component, each promoted key with the atom it came from.
     let mut keys: Vec<Vec<(KeyPart, AtomicValue)>> = Vec::with_capacity(split.keys.len());
-    for c in &split.keys {
+    for (i, c) in split.keys.iter().enumerate() {
         let expr = match side {
-            Side::Outer => c.outer,
-            Side::Inner => c.inner,
+            Side::Outer(_) => c.outer,
+            Side::Inner(_) => c.inner,
         };
         let mut ks = Vec::new();
         for v in eval_dep_items(expr, ctx, &input)?.atomized() {
-            promoted_keys(&v, c.specialized, |k| ks.push((k, v.clone())));
+            let mut put = |p: &AtomicValue| {
+                if let Some(k) = key_of(p) {
+                    ks.push((k, v.clone()))
+                }
+            };
+            match &mut side {
+                Side::Inner(types) => types.record(i, v.type_of()),
+                Side::Outer(types) => {
+                    let untyped_inner = types.holds(i, AtomicType::UntypedAtomic);
+                    if untyped_inner && ON_DEMAND.contains(&v.type_of()) {
+                        return Ok(false);
+                    }
+                    if let AtomicValue::UntypedAtomic(text) = &v {
+                        for &t in ON_DEMAND.iter().filter(|&&t| types.holds(i, t)) {
+                            if let Ok(p) = xqr_types::cast::cast_from_string(text.trim(), t) {
+                                put(&p);
+                            }
+                        }
+                    }
+                }
+            }
+            promote_to_simple_types(&v, |p| put(&p));
         }
         if ks.is_empty() {
-            return Ok(());
+            return Ok(true);
         }
         keys.push(ks);
     }
@@ -677,7 +705,7 @@ pub(crate) fn for_each_key(
         }
         emit(&key, &origs)?;
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Fig. 6 `materialize`: builds the composite-key index over the inner
@@ -692,12 +720,13 @@ pub(crate) fn materialize(
     keep: impl Fn(&[KeyPart]) -> bool,
 ) -> xqr_xml::Result<KeyIndex> {
     let mut index = KeyIndex::new(ctx.join_algorithm);
+    let mut types = KeyTypes::default();
     let budget = ctx.governor.has_byte_budget();
     for (tuple_idx, tup) in inner.iter().enumerate() {
         ctx.governor.tick()?;
         xqr_xml::failpoint::check("join::build_charge")?;
         let mut entries = 0;
-        for_each_key(split, Side::Inner, tup, ctx, |key, origs| {
+        for_each_key(split, Side::Inner(&mut types), tup, ctx, |key, origs| {
             if keep(key) {
                 index.put(key, origs, tuple_idx);
                 entries += 1;
@@ -708,36 +737,8 @@ pub(crate) fn materialize(
             charge.add(tup.approx_bytes() + ENTRY_BYTES * entries)?;
         }
     }
+    index.types = types;
     Ok(index)
-}
-
-/// The `(value, type)` keys one atom is stored or probed under: the full
-/// `promoteToSimpleTypes` enumeration, or — when the component is
-/// statically specialized — the single promoted value at the comparison
-/// type (values that cannot promote there cannot match and store
-/// nothing).
-pub(crate) fn promoted_keys(
-    v: &AtomicValue,
-    specialized: Option<AtomicType>,
-    mut emit: impl FnMut(KeyPart),
-) {
-    let mut put = |p: AtomicValue| {
-        if let Some(k) = key_of(&p) {
-            emit(k)
-        }
-    };
-    match specialized {
-        Some(t) if v.type_of() == t => put(v.clone()),
-        Some(t) if v.type_of().is_numeric() && t.is_numeric() => {
-            if let Ok(p) = xqr_types::promote_numeric(v, t) {
-                put(p);
-            }
-        }
-        Some(AtomicType::String) => put(AtomicValue::string(v.string_value())),
-        // No specialization, or the static prediction missed (a dynamic
-        // value of another type): the full enumeration.
-        _ => promote_to_simple_types(v, put),
-    }
 }
 
 /// Does one key component match? `key_type` is the type both sides'
@@ -763,15 +764,15 @@ fn component_matches(key_type: AtomicType, inner: &AtomicValue, outer: &AtomicVa
 /// Fig. 6 `allMatches`: probes the index with each of one outer tuple's
 /// composite keys, checks each component against Table 2, and returns
 /// inner tuple indices sorted by the inner sequence order with duplicates
-/// removed.
+/// removed — or `None` when the tuple cannot probe (see [`for_each_key`]).
 pub(crate) fn all_matches(
     index: &KeyIndex,
     tup: &Tuple,
     split: &SplitPredicate<'_>,
     ctx: &mut Ctx<'_>,
-) -> xqr_xml::Result<Vec<usize>> {
+) -> xqr_xml::Result<Option<Vec<usize>>> {
     let mut matches: Vec<usize> = Vec::new();
-    for_each_key(split, Side::Outer, tup, ctx, |key, outer| {
+    let keyed = for_each_key(split, Side::Outer(&index.types), tup, ctx, |key, outer| {
         for e in index.get(key) {
             let inner = index.origs[e.origs..].iter().zip(outer);
             if key
@@ -784,10 +785,13 @@ pub(crate) fn all_matches(
         }
         Ok(())
     })?;
+    if !keyed {
+        return Ok(None);
+    }
     // Sort on original sequence order and remove duplicate tuples.
     matches.sort_unstable();
     matches.dedup();
-    Ok(matches)
+    Ok(Some(matches))
 }
 
 #[cfg(test)]
@@ -810,23 +814,8 @@ mod tests {
         })
     }
 
-    #[test]
-    fn conjunct_flattening() {
-        // and-chains become Cond{b}(a) with else=false.
-        let a = eq_pred("l", "r");
-        let b = eq_pred("l2", "r2");
-        let pred = Plan::new(Op::Cond {
-            cond: Box::new(a),
-            then: Box::new(b),
-            els: Plan::boxed(Op::Scalar(AtomicValue::Boolean(false))),
-        });
-        let mut cs = Vec::new();
-        conjuncts(&pred, &mut cs);
-        assert_eq!(cs.len(), 2);
-    }
-
     fn only_field(p: &Plan) -> String {
-        let used = used_input_fields(p);
+        let used = used_input_fields(p).expect("field reads only");
         assert_eq!(used.len(), 1, "{used:?}");
         used.iter().next().expect("one field").to_string()
     }
@@ -993,9 +982,9 @@ mod tests {
         );
     }
 
-    pub(super) fn keys(v: &AtomicValue, specialized: Option<AtomicType>) -> Vec<KeyPart> {
+    fn keys(v: &AtomicValue) -> Vec<KeyPart> {
         let mut out = Vec::new();
-        promoted_keys(v, specialized, |k| out.push(k));
+        promote_to_simple_types(v, |p| out.extend(key_of(&p)));
         out
     }
 
@@ -1010,57 +999,9 @@ mod tests {
     #[test]
     fn promoted_keys_collide_across_numeric_types() {
         // integer 5 and decimal 5.0 must share their Decimal/Double entries.
-        let i5 = keys(&AtomicValue::Integer(5), None);
-        let d5 = keys(&AtomicValue::Decimal(xqr_xml::Decimal::from_i64(5)), None);
+        let i5 = keys(&AtomicValue::Integer(5));
+        let d5 = keys(&AtomicValue::Decimal(xqr_xml::Decimal::from_i64(5)));
         assert!(i5.iter().any(|k| d5.contains(k)));
-    }
-}
-
-#[cfg(test)]
-mod specialization_tests {
-    use super::tests::keys;
-    use super::*;
-    use xqr_xml::QName;
-
-    #[test]
-    fn static_types_inferred() {
-        assert_eq!(
-            static_key_type(&Plan::scalar(AtomicValue::Integer(1))),
-            Some(AtomicType::Integer)
-        );
-        assert_eq!(
-            static_key_type(&Plan::call("count", vec![Plan::input()])),
-            Some(AtomicType::Integer)
-        );
-        assert_eq!(
-            static_key_type(&Plan::new(Op::Cast {
-                ty: AtomicType::Date,
-                optional: false,
-                input: Plan::boxed(Op::Input),
-            })),
-            Some(AtomicType::Date)
-        );
-        assert_eq!(static_key_type(&Plan::in_field("x")), None);
-        assert_eq!(
-            static_key_type(&Plan::new(Op::Var(QName::local("v")))),
-            None
-        );
-    }
-
-    #[test]
-    fn specialized_keys_are_single_entry() {
-        // Integer key under integer specialization: one entry, not four.
-        assert_eq!(
-            keys(&AtomicValue::Integer(5), Some(AtomicType::Integer)).len(),
-            1
-        );
-        assert_eq!(keys(&AtomicValue::Integer(5), None).len(), 4);
-        // Cross-numeric specialization promotes to the comparison type.
-        let ks = keys(&AtomicValue::Integer(5), Some(AtomicType::Double));
-        assert_eq!(ks, vec![key_of(&AtomicValue::Double(5.0)).unwrap()]);
-        // Dynamic value off the static prediction falls back safely.
-        let ks = keys(&AtomicValue::untyped("x"), Some(AtomicType::Date));
-        assert_eq!(ks.len(), 1, "full enumeration fallback: {ks:?}");
     }
 }
 

@@ -27,14 +27,13 @@
 //! ## Plan-node identity
 //!
 //! Stats attach to plan nodes by address: `register` walks the exact plan
-//! tree the evaluator runs (the per-run body clone) and maps each node's
+//! tree the evaluator runs (the prepared module body) and maps each node's
 //! address to a preorder index over the `Op::children()` traversal — the
 //! same order `pretty::indented_annotated` consumes, so a profile's
-//! annotation vector lines up with the prepared plan (an identically
-//! shaped clone) with no re-matching. Registered addresses outlive the run
-//! (the body clone lives across evaluation), so a lookup can never observe
-//! a recycled address; unregistered plans (per-call function body clones,
-//! globals) silently run unprofiled.
+//! annotation vector lines up with the prepared plan with no re-matching.
+//! Registered addresses outlive the run (the prepared plan outlives the
+//! evaluation context), so a lookup can never observe a recycled address;
+//! unregistered plans (function bodies, globals) silently run unprofiled.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

@@ -74,7 +74,7 @@ use crate::compare::order_key_compare;
 use crate::context::Ctx;
 use crate::eval::eval_dep_items;
 use crate::joins::{
-    all_matches, for_each_key, keep_holding, materialize, KeyPart, Side, SplitPredicate,
+    all_matches, for_each_key, keep_holding, materialize, KeyPart, KeyTypes, Side, SplitPredicate,
 };
 use crate::profile::OpStats;
 use crate::value::{InputVal, NullFlag, Table, Tuple};
@@ -835,6 +835,7 @@ pub(crate) fn grace_join(
         left,
         flag,
         mgr: ctx.spill_manager()?,
+        types: KeyTypes::default(),
         pairs: Vec::new(),
         tally: Tally::default(),
     };
@@ -889,36 +890,40 @@ struct Grace<'a, 'p> {
     left: &'a Table,
     flag: Option<&'a NullFlag>,
     mgr: Rc<SpillManager>,
+    /// The build side's value types, recorded while it is scattered; the
+    /// outer tuples are assigned under them.
+    types: KeyTypes,
     /// `(outer index, inner index, joined tuple)` per match.
     pairs: Vec<(u64, u64, Tuple)>,
     tally: Tally,
 }
 
-impl Grace<'_, '_> {
-    /// The partitions at depth `path.len()` that one tuple's on-path
-    /// composite keys hash to — the in-memory join's own keys
-    /// ([`for_each_key`]), so both paths agree on what matches.
-    fn partitions(
-        &self,
-        side: Side,
-        tup: &Tuple,
-        path: &[usize],
-        ctx: &mut Ctx<'_>,
-    ) -> xqr_xml::Result<[bool; FANOUT]> {
-        let mut targets = [false; FANOUT];
-        for_each_key(self.split, side, tup, ctx, |key, _| {
-            if on_path(key, path) {
-                targets[key_partition(key, path.len())] = true;
-            }
-            Ok(())
-        })?;
-        Ok(targets)
-    }
+/// The partitions at depth `path.len()` that one tuple's on-path
+/// composite keys hash to — the in-memory join's own keys
+/// ([`for_each_key`]), so both paths agree on what matches. An outer tuple
+/// that cannot probe meets every partition.
+fn partitions(
+    split: &SplitPredicate<'_>,
+    side: Side<'_>,
+    tup: &Tuple,
+    path: &[usize],
+    ctx: &mut Ctx<'_>,
+) -> xqr_xml::Result<[bool; FANOUT]> {
+    let mut targets = [false; FANOUT];
+    let keyed = for_each_key(split, side, tup, ctx, |key, _| {
+        if on_path(key, path) {
+            targets[key_partition(key, path.len())] = true;
+        }
+        Ok(())
+    })?;
+    Ok(if keyed { targets } else { [true; FANOUT] })
+}
 
+impl Grace<'_, '_> {
     /// Scatters one build-side tuple into the partition files its on-path
     /// keys hash to (one frame per distinct target).
     fn scatter(
-        &self,
+        &mut self,
         files: &mut [Option<SpillFile>],
         idx: u64,
         tup: &Tuple,
@@ -927,7 +932,7 @@ impl Grace<'_, '_> {
         buf: &mut Vec<u8>,
     ) -> xqr_xml::Result<()> {
         ctx.governor.tick()?;
-        let targets = self.partitions(Side::Inner, tup, path, ctx)?;
+        let targets = partitions(self.split, Side::Inner(&mut self.types), tup, path, ctx)?;
         for (p, _) in targets.iter().enumerate().filter(|(_, hit)| **hit) {
             if files[p].is_none() {
                 files[p] = Some(self.mgr.new_file(&ctx.governor)?);
@@ -949,7 +954,8 @@ impl Grace<'_, '_> {
         let mut lists: Vec<Vec<u64>> = (0..FANOUT).map(|_| Vec::new()).collect();
         for &o in outers {
             ctx.governor.tick()?;
-            let targets = self.partitions(Side::Outer, &self.left[o as usize], path, ctx)?;
+            let tup = &self.left[o as usize];
+            let targets = partitions(self.split, Side::Outer(&self.types), tup, path, ctx)?;
             for (p, _) in targets.iter().enumerate().filter(|(_, hit)| **hit) {
                 lists[p].push(o);
             }
@@ -1007,17 +1013,12 @@ impl Grace<'_, '_> {
             ctx.governor.tick()?;
             let lt = &self.left[o as usize];
             let ms = all_matches(&index, lt, self.split, ctx)?;
-            ctx.governor.charge_tuples(ms.len() as u64)?;
+            let candidates = ms.as_ref().map_or(rows.len(), Vec::len);
+            ctx.governor.charge_tuples(candidates as u64)?;
             let pairs = &mut self.pairs;
-            keep_holding(
-                &self.split.residual,
-                lt,
-                &rows,
-                ms,
-                self.flag,
-                ctx,
-                |i, t| pairs.push((o, ids[i], t)),
-            )?;
+            keep_holding(self.split, lt, &rows, ms, self.flag, ctx, |i, t| {
+                pairs.push((o, ids[i], t))
+            })?;
         }
         Ok(())
     }

@@ -363,15 +363,12 @@ fn gallop(list: &[u32], lo: usize, target: u32) -> usize {
 /// repeatedly hold one `TestCache` per site and pass it to
 /// [`tree_join_cached`].
 ///
-/// Two safety properties: entries key by document *identity* and hold the
-/// `Rc`, so a freed document's address can never be recycled into a false
-/// hit; and the cache records the `(axis, test)` it was built for and
-/// self-clears on mismatch, so a caller whose site key was itself
-/// recycled (per-call plan clones) degrades to a recompile, never a wrong
-/// test.
+/// Entries key by document *identity* and hold the `Rc`, so a freed
+/// document's address can never be recycled into a false hit. One cache
+/// serves one `(axis, test)` site; the caller keys it by a site that
+/// outlives the cache.
 #[derive(Default)]
 pub struct TestCache {
-    site: Option<(Axis, NodeTest)>,
     entries: Vec<(Rc<Document>, CompiledTest)>,
 }
 
@@ -379,16 +376,6 @@ impl TestCache {
     /// Entries kept per site; effectively one in practice (multi-document
     /// step inputs are rare), bounded defensively.
     const MAX_ENTRIES: usize = 8;
-
-    fn ensure_site(&mut self, axis: Axis, test: &NodeTest) {
-        match &self.site {
-            Some((a, t)) if *a == axis && t == test => {}
-            _ => {
-                self.entries.clear();
-                self.site = Some((axis, test.clone()));
-            }
-        }
-    }
 
     fn get(&self, doc: &Rc<Document>) -> Option<CompiledTest> {
         self.entries
@@ -425,8 +412,8 @@ struct StepKernel<'t> {
     axis: Axis,
     test: &'t NodeTest,
     state: Option<DocState>,
-    /// Optional cross-call compiled-test cache; must already be keyed to
-    /// this kernel's `(axis, test)` site (see [`TestCache::ensure_site`]).
+    /// Optional cross-call compiled-test cache of this kernel's
+    /// `(axis, test)` site.
     cache: Option<&'t mut TestCache>,
 }
 
@@ -756,7 +743,6 @@ pub fn tree_join_cached(
     gov: Option<&Governor>,
     cache: &mut TestCache,
 ) -> crate::Result<Sequence> {
-    cache.ensure_site(axis, test);
     tree_join_inner(input, axis, test, types, gov, Some(cache))
 }
 

@@ -1,18 +1,21 @@
-//! Allocation counts of the two nested-construction workloads: Clio N3
+//! Allocation counts of the two nested-construction workloads (Clio N3
 //! over a 30 KB DBLP document and XMark Q10 over a 100 KB auction
-//! document, one warm run each (prepare excluded, serialization included).
+//! document) and of a recursive user function, one warm run each (prepare
+//! excluded, serialization included).
 //!
 //! Allocation is deterministic where wall-clock is not: the same run
 //! allocates the same number of blocks every time. So this guards the
 //! write-once construction (nested constructors build into their parent's
 //! builder, copies share strings, `clio:deep-distinct` hashes instead of
-//! serializing) and N3's composite-key join without a timer.
+//! serializing), N3's composite-key join and borrowed function bodies
+//! without a timer.
 //!
-//! The test is alone in its binary because the counter is the global
-//! allocator: a second test running beside it would be counted too.
+//! The counter is the global allocator, so a test running beside another
+//! would count its allocations too: each test holds [`SERIAL`] throughout.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use xqr::engine::{CompileOptions, Engine};
 use xqr_clio::{generate_dblp, mapping_query, DblpOptions};
@@ -46,6 +49,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held by each test for its whole run: one test counts at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) of one run of
 /// `q`, serialized, after one warm-up run that builds the document's lazy
 /// indexes.
@@ -61,6 +67,7 @@ fn allocations(e: &Engine, q: &str) -> u64 {
 
 #[test]
 fn nested_construction_allocates_at_most_six_tenths_of_the_copying_build() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut clio = Engine::new();
     clio.bind_document("dblp.xml", &generate_dblp(&DblpOptions::for_bytes(30_000)))
         .unwrap();
@@ -90,4 +97,26 @@ fn nested_construction_allocates_at_most_six_tenths_of_the_copying_build() {
         "N3 allocated {n3} blocks"
     );
     assert!(q10 * 10 <= Q10_COPYING * 6, "Q10 allocated {q10} blocks");
+}
+
+#[test]
+fn recursive_function_calls_borrow_their_body() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut xmark = Engine::new();
+    xmark
+        .bind_document("auction.xml", &generate(&GenOptions::for_bytes(20_000)))
+        .unwrap();
+    let depth = "declare function local:depth($n) as xs:integer \
+                 { if (empty($n/*)) then 1 \
+                   else 1 + max(for $c in $n/* return local:depth($c)) }; \
+                 local:depth(doc('auction.xml')/site/closed_auctions)";
+    let n = allocations(&xmark, depth);
+    eprintln!("allocations per run: local:depth {n}");
+    // When every call cloned the function's body, one run allocated 3 201
+    // blocks; borrowing it measured 1 649. The bound leaves 20 % for drift.
+    const MEASURED: u64 = 1_649;
+    assert!(
+        n <= MEASURED + MEASURED / 5,
+        "local:depth allocated {n} blocks"
+    );
 }

@@ -194,8 +194,9 @@ fn hash_join_rechecks_original_values() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Statically-typed join keys (cast both sides) take the specialized
-    /// single-entry path; results must still match nested loop.
+    /// Cast join keys (both sides `cast as xs:integer`) go through the
+    /// Table 2 enumeration like any other key; results must still match
+    /// nested loop.
     #[test]
     fn specialized_join_agrees(
         left in prop::collection::vec(0i64..6, 0..7),

@@ -175,6 +175,16 @@ fn fixed_corpus_spilled_matches_in_memory() {
         "for $x in (for $i in (1 to 90) return $i mod 9) \
          let $m := (for $y in (1 to 30) where $y = $x return $y) \
          order by $x descending, count($m) return ($x, count($m))",
+        // Untyped keys against durations and gYears, both ways round (the
+        // globals make both sides join inputs): the Grace join routes
+        // untyped outer values to the typed partitions and typed outer
+        // values to every partition.
+        "declare variable $t := for $i in (1 to 200) return if ($i mod 2 = 1) \
+           then xs:duration(concat('P', $i, 'D')) else xs:gYear(string(1900 + $i)); \
+         declare variable $u := for $j in (1 to 200) return <a>{if ($j mod 2 = 1) \
+           then concat('P', $j, 'D') else 1900 + $j}</a>; \
+         count(for $x in $t, $y in $u where $x = $y return 1), \
+         count(for $y in $u, $x in $t where $x = $y return 1)",
         // Errors must carry the same code whether or not the query spills.
         "for $x in (1 to 200), $y in (1 to 200) \
          where $x = $y return $x idiv ($x - 100)",
